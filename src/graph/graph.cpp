@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <numeric>
 #include <sstream>
 #include <utility>
@@ -46,9 +47,7 @@ std::string Graph::summary() const {
 }
 
 GraphBuilder::GraphBuilder(VertexId num_vertices)
-    : num_vertices_(num_vertices),
-      vwgt_(static_cast<std::size_t>(num_vertices), 1.0),
-      coords_(static_cast<std::size_t>(num_vertices)) {
+    : num_vertices_(num_vertices) {
   GAPART_REQUIRE(num_vertices >= 0, "negative vertex count ", num_vertices);
 }
 
@@ -60,18 +59,22 @@ void GraphBuilder::add_edge(VertexId u, VertexId v, double weight) {
   GAPART_REQUIRE(weight > 0.0, "edge weight must be positive, got ", weight);
   if (u == v) return;  // self-loops carry no cut information
   edges_.push_back({u, v, weight});
+  if (weight != 1.0) nonunit_edge_weights_ = true;
 }
 
 void GraphBuilder::set_vertex_weight(VertexId v, double weight) {
   GAPART_REQUIRE(v >= 0 && v < num_vertices_, "vertex ", v, " out of range");
   GAPART_REQUIRE(weight > 0.0, "vertex weight must be positive, got ", weight);
-  vwgt_[static_cast<std::size_t>(v)] = weight;
+  if (vwgt_.empty()) vwgt_.assign(static_cast<std::size_t>(num_vertices_), 1.0);
+  double& slot = vwgt_[static_cast<std::size_t>(v)];
+  nonunit_vertex_weights_ += (weight != 1.0) - (slot != 1.0);
+  slot = weight;
 }
 
 void GraphBuilder::set_coordinate(VertexId v, Point2 p) {
   GAPART_REQUIRE(v >= 0 && v < num_vertices_, "vertex ", v, " out of range");
+  if (coords_.empty()) coords_.resize(static_cast<std::size_t>(num_vertices_));
   coords_[static_cast<std::size_t>(v)] = p;
-  has_coords_ = true;
 }
 
 void GraphBuilder::set_coordinates(std::vector<Point2> coords) {
@@ -79,101 +82,176 @@ void GraphBuilder::set_coordinates(std::vector<Point2> coords) {
                  "coordinate count ", coords.size(), " != vertex count ",
                  num_vertices_);
   coords_ = std::move(coords);
-  has_coords_ = num_vertices_ > 0;
 }
+
+namespace {
+
+// Rows up to this length that arrive out of order are insertion-sorted in
+// place; longer ones are sorted by the walk in build().
+constexpr std::size_t kInsertionSortMaxRow = 32;
+
+}  // namespace
 
 Graph GraphBuilder::build() {
   const auto n = static_cast<std::size_t>(num_vertices_);
   const std::size_t m2 = edges_.size() * 2;
-
-  // Fully linear CSR construction, O(V + E): a radix pass over the
-  // (row, neighbour) key — two counting scatters, least-significant digit
-  // (neighbour) first — replaces the per-row comparison sort.  Every array is
-  // sized from the raw edge count up front, so building large benchmark
-  // meshes never reallocates mid-construction.
-
-  // Pass 1: raw per-vertex degrees (duplicates included) -> scatter offsets.
-  // A vertex appears as a source exactly as often as it appears as a
-  // neighbour (each undirected edge contributes one of each per endpoint),
-  // so one offset table serves both scatter passes.
-  std::vector<std::int32_t> cursor(n, 0);
-  for (const auto& e : edges_) {
-    ++cursor[static_cast<std::size_t>(e.u)];
-    ++cursor[static_cast<std::size_t>(e.v)];
-  }
-  std::vector<std::int32_t> offset(n + 1, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    offset[v + 1] = offset[v] + cursor[v];
-  }
-
-  // Pass 2 (low digit): scatter both directions of every edge into buckets
-  // keyed by the NEIGHBOUR endpoint; the bucket id is implicit in the slot
-  // range, so only the source and weight are stored.
-  std::vector<VertexId> by_nbr_src(m2);
-  std::vector<double> by_nbr_wgt(m2);
-  std::copy(offset.begin(), offset.end() - 1, cursor.begin());
-  for (const auto& e : edges_) {
-    auto& cv = cursor[static_cast<std::size_t>(e.v)];
-    by_nbr_src[static_cast<std::size_t>(cv)] = e.u;
-    by_nbr_wgt[static_cast<std::size_t>(cv)] = e.w;
-    ++cv;
-    auto& cu = cursor[static_cast<std::size_t>(e.u)];
-    by_nbr_src[static_cast<std::size_t>(cu)] = e.v;
-    by_nbr_wgt[static_cast<std::size_t>(cu)] = e.w;
-    ++cu;
-  }
-
-  // Pass 3 (high digit): walk the buckets in ascending neighbour order and
-  // stably scatter each entry into its source row — every row comes out with
-  // its neighbours already ascending, no per-row sort.
-  std::vector<VertexId> raw_adj(m2);
-  std::vector<double> raw_wgt(m2);
-  std::copy(offset.begin(), offset.end() - 1, cursor.begin());
-  for (std::size_t nbr = 0; nbr < n; ++nbr) {
-    const auto begin = static_cast<std::size_t>(offset[nbr]);
-    const auto end = static_cast<std::size_t>(offset[nbr + 1]);
-    for (std::size_t i = begin; i < end; ++i) {
-      auto& cu = cursor[static_cast<std::size_t>(by_nbr_src[i])];
-      raw_adj[static_cast<std::size_t>(cu)] = static_cast<VertexId>(nbr);
-      raw_wgt[static_cast<std::size_t>(cu)] = by_nbr_wgt[i];
-      ++cu;
-    }
-  }
-
-  // Pass 4: merge duplicates (weights summed) row by row.
   Graph g;
-  g.xadj_.assign(n + 1, 0);
-  g.adjncy_.clear();
-  g.ewgt_.clear();
-  g.adjncy_.reserve(m2);
-  g.ewgt_.reserve(m2);
+  auto& xadj = g.xadj_;
+  auto& adj = g.adjncy_;
+  auto& wgt = g.ewgt_;
 
-  for (std::size_t u = 0; u < n; ++u) {
-    const auto begin = static_cast<std::size_t>(offset[u]);
-    const auto end = static_cast<std::size_t>(offset[u + 1]);
-    const std::size_t row_start = g.adjncy_.size();
-    for (std::size_t i = begin; i < end; ++i) {
-      if (g.adjncy_.size() > row_start && g.adjncy_.back() == raw_adj[i]) {
-        g.ewgt_.back() += raw_wgt[i];
+  // CSR construction in one scatter, O(V + E).  A counting pass sizes every
+  // row (duplicates included), then both directions of every edge are
+  // scattered straight into the final arrays in insertion order.  The
+  // generators, the Chaco reader and callers that list each row's edges
+  // in ascending order produce strictly ascending rows here, and are done.
+  xadj.assign(n + 1, 0);
+  for (const auto& e : edges_) {
+    ++xadj[static_cast<std::size_t>(e.u) + 1];
+    ++xadj[static_cast<std::size_t>(e.v) + 1];
+  }
+  std::partial_sum(xadj.begin(), xadj.end(), xadj.begin());
+
+  adj.resize(m2);
+  wgt.resize(m2);
+  std::vector<std::int32_t> cursor(xadj.begin(), xadj.end() - 1);
+  bool ascending = true;
+  const auto place = [&](VertexId row, VertexId nbr, double w) {
+    const auto r = static_cast<std::size_t>(row);
+    const auto c = static_cast<std::size_t>(cursor[r]++);
+    if (c != static_cast<std::size_t>(xadj[r]) && adj[c - 1] >= nbr) {
+      ascending = false;
+    }
+    adj[c] = nbr;
+    wgt[c] = w;
+  };
+  for (const auto& e : edges_) {
+    place(e.u, e.v, e.w);
+    place(e.v, e.u, e.w);
+  }
+
+  // Otherwise fix up only the rows that are not strictly ascending.  Each
+  // is sorted stably by neighbour, so duplicates keep their insertion
+  // order, and the duplicates merge by summing left to right: the
+  // summation order of a stable (row, neighbour) sort, so fractional
+  // weights come out bit-identical to it.  Short rows are insertion-sorted
+  // in place.  Long rows are sorted together by one walk over all rows in
+  // ascending order into a side buffer: the graph is symmetric, so row x
+  // lists u once per edge {u, x}, in insertion order, and appending x to
+  // u's list for each such entry yields u's row stably sorted.  Rows shrink
+  // by their merged duplicates and are compacted in place.
+  bool merged = false;
+  if (!ascending) {
+    const auto row_sorted = [&](std::size_t begin, std::size_t end) {
+      const auto first = adj.begin() + static_cast<std::ptrdiff_t>(begin);
+      const auto last = adj.begin() + static_cast<std::ptrdiff_t>(end);
+      return std::adjacent_find(first, last,
+                                std::greater_equal<VertexId>()) == last;
+    };
+    // cursor[r]: for a long unsorted row, its next slot in the side buffer;
+    // -1 for every other row.
+    std::size_t side_size = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto begin = static_cast<std::size_t>(xadj[r]);
+      const auto end = static_cast<std::size_t>(xadj[r + 1]);
+      if (end - begin > kInsertionSortMaxRow && !row_sorted(begin, end)) {
+        cursor[r] = static_cast<std::int32_t>(side_size);
+        side_size += end - begin;
       } else {
-        g.adjncy_.push_back(raw_adj[i]);
-        g.ewgt_.push_back(raw_wgt[i]);
+        cursor[r] = -1;
       }
     }
-    g.xadj_[u + 1] = static_cast<std::int32_t>(g.adjncy_.size());
+    std::vector<VertexId> side_adj(side_size);
+    std::vector<double> side_wgt(side_size);
+    if (side_size > 0) {
+      for (std::size_t x = 0; x < n; ++x) {
+        const auto end = static_cast<std::size_t>(xadj[x + 1]);
+        for (auto i = static_cast<std::size_t>(xadj[x]); i < end; ++i) {
+          auto& c = cursor[static_cast<std::size_t>(adj[i])];
+          if (c < 0) continue;
+          side_adj[static_cast<std::size_t>(c)] = static_cast<VertexId>(x);
+          side_wgt[static_cast<std::size_t>(c)] = wgt[i];
+          ++c;
+        }
+      }
+    }
+
+    // Writes the sorted run src[0, len) to [out, ...) with duplicates
+    // summed; src may be the row itself (out never passes the read
+    // position).  Returns the merged length.
+    const auto merge_into = [&](const VertexId* src_adj, const double* src_wgt,
+                                std::size_t len, std::size_t out) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < len; ++i) {
+        if (kept > 0 && adj[out + kept - 1] == src_adj[i]) {
+          wgt[out + kept - 1] += src_wgt[i];
+        } else {
+          adj[out + kept] = src_adj[i];
+          wgt[out + kept] = src_wgt[i];
+          ++kept;
+        }
+      }
+      merged = merged || kept != len;
+      return kept;
+    };
+    std::size_t out = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto begin = static_cast<std::size_t>(xadj[r]);
+      const auto end = static_cast<std::size_t>(xadj[r + 1]);
+      const std::size_t len = end - begin;
+      xadj[r] = static_cast<std::int32_t>(out);
+      if (cursor[r] >= 0) {
+        const auto src = static_cast<std::size_t>(cursor[r]) - len;
+        out += merge_into(side_adj.data() + src, side_wgt.data() + src, len,
+                          out);
+      } else if (!row_sorted(begin, end)) {
+        for (std::size_t i = begin + 1; i < end; ++i) {
+          const VertexId a = adj[i];
+          const double w = wgt[i];
+          std::size_t j = i;
+          for (; j > begin && adj[j - 1] > a; --j) {
+            adj[j] = adj[j - 1];
+            wgt[j] = wgt[j - 1];
+          }
+          adj[j] = a;
+          wgt[j] = w;
+        }
+        out += merge_into(adj.data() + begin, wgt.data() + begin, len, out);
+      } else {
+        if (out != begin) {
+          std::copy_n(adj.data() + begin, len, adj.data() + out);
+          std::copy_n(wgt.data() + begin, len, wgt.data() + out);
+        }
+        out += len;
+      }
+    }
+    xadj[n] = static_cast<std::int32_t>(out);
+    adj.resize(out);
+    wgt.resize(out);
   }
 
   // Copy (not move) so the builder stays usable: callers may add more edges
   // and build() again (e.g. connectivity stitching loops).
-  g.vwgt_ = vwgt_;
-  g.total_vwgt_ = std::accumulate(g.vwgt_.begin(), g.vwgt_.end(), 0.0);
-  if (has_coords_) g.coords_ = coords_;
+  if (vwgt_.empty()) {
+    g.vwgt_.assign(n, 1.0);
+  } else {
+    g.vwgt_ = vwgt_;
+  }
+  // n unit weights sum to n exactly, in any order.
+  g.total_vwgt_ = nonunit_vertex_weights_ == 0
+                      ? static_cast<double>(n)
+                      : std::accumulate(g.vwgt_.begin(), g.vwgt_.end(), 0.0);
+  g.coords_ = coords_;
 
-  g.unit_weights_ =
-      std::all_of(g.vwgt_.begin(), g.vwgt_.end(),
-                  [](double w) { return w == 1.0; }) &&
-      std::all_of(g.ewgt_.begin(), g.ewgt_.end(),
-                  [](double w) { return w == 1.0; });
+  // Unit inputs stay unit unless duplicates merged (a sum of two unit
+  // weights is 2); non-unit inputs merged into unit sums are rare enough to
+  // rescan for.
+  bool unit_edges = !nonunit_edge_weights_ && !merged;
+  if (nonunit_edge_weights_ && merged) {
+    unit_edges = std::all_of(wgt.begin(), wgt.end(),
+                             [](double w) { return w == 1.0; });
+  }
+  g.unit_weights_ = nonunit_vertex_weights_ == 0 && unit_edges;
   return g;
 }
 

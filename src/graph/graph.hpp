@@ -4,20 +4,26 @@
 // is deliberately flat and contiguous (Per.16/Per.19 of the C++ Core
 // Guidelines: compact data structures, predictable access): one offset array
 // and parallel neighbour / edge-weight arrays.  Graphs are immutable after
-// construction; use GraphBuilder (or the mesh generators) to create them.
+// construction.  GraphBuilder (or the mesh generators) creates them from an
+// edge list; decode_delta (graph/delta_codec) splices a grown graph straight
+// from its predecessor's arrays plus a delta record, without a builder.
 #pragma once
 
 #include <cstdint>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "graph/types.hpp"
 
 namespace gapart {
 
+class Graph;
 class GraphBuilder;
+struct DecodedDelta;
+DecodedDelta decode_delta(const Graph& prev, std::string_view bytes);
 
 class Graph {
  public:
@@ -80,6 +86,8 @@ class Graph {
 
  private:
   friend class GraphBuilder;
+  // Adopts the arrays it splices together (see delta_codec.cpp).
+  friend DecodedDelta decode_delta(const Graph& prev, std::string_view bytes);
 
   std::vector<std::int32_t> xadj_ = {0};
   std::vector<VertexId> adjncy_;
@@ -91,8 +99,8 @@ class Graph {
 };
 
 /// Accumulates edges / weights / coordinates and produces a canonical Graph:
-/// symmetric, sorted adjacency, duplicate edges merged (weights summed),
-/// self-loops dropped.
+/// symmetric, sorted adjacency, duplicate edges merged (weights summed in
+/// insertion order), self-loops dropped.
 class GraphBuilder {
  public:
   /// `num_vertices` fixes |V| up front; vertices are 0..n-1.
@@ -108,7 +116,8 @@ class GraphBuilder {
   void set_coordinate(VertexId v, Point2 p);
   void set_coordinates(std::vector<Point2> coords);
 
-  /// Validates, canonicalizes and builds the immutable Graph.
+  /// Validates, canonicalizes and builds the immutable Graph.  The builder
+  /// keeps its contents: more edges may be added and build() called again.
   Graph build();
 
  private:
@@ -120,9 +129,11 @@ class GraphBuilder {
 
   VertexId num_vertices_;
   std::vector<RawEdge> edges_;
-  std::vector<double> vwgt_;
-  std::vector<Point2> coords_;
-  bool has_coords_ = false;
+  std::vector<double> vwgt_;    ///< empty until a vertex weight is set
+  std::vector<Point2> coords_;  ///< empty until a coordinate is set
+  // Let build() derive unit_weights() without rescanning the weights.
+  std::int64_t nonunit_vertex_weights_ = 0;  ///< vertices with weight != 1
+  bool nonunit_edge_weights_ = false;        ///< an edge added with w != 1
 };
 
 }  // namespace gapart

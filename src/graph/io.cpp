@@ -1,5 +1,8 @@
 #include "graph/io.hpp"
 
+#include <charconv>
+#include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -60,25 +63,87 @@ void finish_write(std::ostream& os, const char* what) {
   }
 }
 
+void write_buffer(std::ostream& os, const std::string& text,
+                  const char* what) {
+  os.write(text.data(), static_cast<std::streamsize>(text.size()));
+  finish_write(os, what);
+}
+
+// Upper bounds on the characters std::to_chars emits.
+constexpr std::size_t kMaxIntChars = 20;     // -9223372036854775808
+constexpr std::size_t kMaxInt32Chars = 11;   // -2147483648
+constexpr std::size_t kMaxDoubleChars = 24;  // -2.2250738585072014e-308
+
+// The formatters write into a buffer sized by these bounds up front, so
+// std::to_chars never runs out of room.
+char* put_int(char* p, char* end, std::int64_t value) {
+  return std::to_chars(p, end, value).ptr;
+}
+
+char* put_double(char* p, char* end, double value) {
+  // Shortest representation that round-trips: read_graph's `>>` recovers
+  // the exact double.
+  return std::to_chars(p, end, value).ptr;
+}
+
+std::size_t decimal_digits(std::int64_t value) {
+  std::size_t digits = 1;
+  for (; value >= 10; value /= 10) ++digits;
+  return digits;
+}
+
 }  // namespace
 
-void write_graph(std::ostream& os, const Graph& g) {
+std::string format_graph(const Graph& g) {
   const bool weighted = !g.unit_weights();
-  os << g.num_vertices() << ' ' << g.num_edges();
-  if (weighted) os << " 11";
-  os << '\n';
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    const auto nbrs = g.neighbors(v);
-    const auto wgts = g.edge_weights(v);
-    if (weighted) os << g.vertex_weight(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      if (weighted || i > 0) os << ' ';
-      os << (nbrs[i] + 1);
-      if (weighted) os << ' ' << wgts[i];
-    }
-    os << '\n';
+  const auto n = static_cast<std::size_t>(g.num_vertices());
+  const std::size_t entries = g.adjncy().size();
+  // Every entry is a 1-based id and a separator, plus " weight" when
+  // weighted; every line ends in '\n' after an optional vertex weight.
+  const std::size_t id_chars = decimal_digits(g.num_vertices()) + 1;
+  const std::size_t bound =
+      2 * kMaxIntChars + 8 +
+      entries * (id_chars + (weighted ? kMaxDoubleChars + 1 : 0)) +
+      n * (1 + (weighted ? kMaxDoubleChars : 0));
+  std::string out(bound, '\0');
+  char* p = out.data();
+  char* const end = out.data() + out.size();
+  p = put_int(p, end, g.num_vertices());
+  *p++ = ' ';
+  p = put_int(p, end, g.num_edges());
+  if (weighted) {
+    std::memcpy(p, " 11", 3);
+    p += 3;
   }
-  finish_write(os, "graph");
+  *p++ = '\n';
+  const auto& xadj = g.xadj();
+  const auto& adj = g.adjncy();
+  const auto& wgt = g.ewgt();
+  for (std::size_t v = 0; v < n; ++v) {
+    const auto first = static_cast<std::size_t>(xadj[v]);
+    const auto last = static_cast<std::size_t>(xadj[v + 1]);
+    if (weighted) {
+      p = put_double(p, end, g.vertex_weight(static_cast<VertexId>(v)));
+      for (std::size_t i = first; i < last; ++i) {
+        *p++ = ' ';
+        p = put_int(p, end, adj[i] + 1);
+        *p++ = ' ';
+        p = put_double(p, end, wgt[i]);
+      }
+    } else {
+      for (std::size_t i = first; i < last; ++i) {
+        if (i > first) *p++ = ' ';
+        p = put_int(p, end, adj[i] + 1);
+      }
+    }
+    *p++ = '\n';
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
+  return out;
+}
+
+void write_graph(std::ostream& os, const Graph& g) {
+  write_buffer(os, format_graph(g), "graph");
 }
 
 void write_graph_file(const std::string& path, const Graph& g) {
@@ -187,9 +252,20 @@ Graph attach_coordinates(const Graph& g, std::istream& is) {
   return b.build();
 }
 
+std::string format_partition(const Assignment& a) {
+  std::string out(a.size() * (kMaxInt32Chars + 1), '\0');
+  char* p = out.data();
+  char* const end = out.data() + out.size();
+  for (const PartId part : a) {
+    p = put_int(p, end, part);
+    *p++ = '\n';
+  }
+  out.resize(static_cast<std::size_t>(p - out.data()));
+  return out;
+}
+
 void write_partition(std::ostream& os, const Assignment& a) {
-  for (PartId p : a) os << p << '\n';
-  finish_write(os, "partition");
+  write_buffer(os, format_partition(a), "partition");
 }
 
 void write_partition_file(const std::string& path, const Assignment& a) {

@@ -15,6 +15,10 @@
 // content (bad headers, out-of-range ids) throws gapart::Error.  Writers
 // flush and check the stream before returning, so a completed call means the
 // bytes reached the OS.
+//
+// Weights are written as the shortest decimal that reads back to the same
+// double, so a weighted graph round-trips bit-exactly; unit-weight graphs
+// and partitions are plain integers.
 #pragma once
 
 #include <iosfwd>
@@ -24,6 +28,10 @@
 #include "graph/types.hpp"
 
 namespace gapart {
+
+/// The Chaco text of `g` (what write_graph writes), formatted into one
+/// buffer for callers that ship or persist it themselves.
+std::string format_graph(const Graph& g);
 
 void write_graph(std::ostream& os, const Graph& g);
 void write_graph_file(const std::string& path, const Graph& g);
@@ -37,6 +45,9 @@ void write_coordinates_file(const std::string& path, const Graph& g);
 /// Reads coordinates for `g` (count must match |V|) and returns a graph with
 /// them attached.
 Graph attach_coordinates(const Graph& g, std::istream& is);
+
+/// One part id per line (what write_partition writes), in one buffer.
+std::string format_partition(const Assignment& a);
 
 void write_partition(std::ostream& os, const Assignment& a);
 void write_partition_file(const std::string& path, const Assignment& a);

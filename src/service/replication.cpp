@@ -221,12 +221,8 @@ void ReplicationShipper::resync(SessionId id, SessionShip& ship) {
   open.fitness = session->config().fitness;
   open.digest = assignment_content_hash(*snap->graph, snap->assignment,
                                         open.num_parts);
-  std::ostringstream graph_os;
-  write_graph(graph_os, *snap->graph);
-  open.graph_text = graph_os.str();
-  std::ostringstream part_os;
-  write_partition(part_os, snap->assignment);
-  open.part_text = part_os.str();
+  open.graph_text = format_graph(*snap->graph);
+  open.part_text = format_partition(snap->assignment);
 
   RepFrame frame;
   frame.type = RepFrameType::kOpenSession;

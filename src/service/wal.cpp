@@ -412,16 +412,9 @@ void SessionWal::write_snapshot_files(std::uint64_t epoch, const Graph& graph,
                                       std::uint64_t digest) {
   // Data files first (temp + rename + fsync), CURRENT last: CURRENT never
   // names an incomplete snapshot.
-  {
-    std::ostringstream gos;
-    write_graph(gos, graph);
-    write_file_atomic(snap_graph_path(dir_, epoch), gos.str(), dir_);
-  }
-  {
-    std::ostringstream pos;
-    write_partition(pos, assignment);
-    write_file_atomic(snap_part_path(dir_, epoch), pos.str(), dir_);
-  }
+  write_file_atomic(snap_graph_path(dir_, epoch), format_graph(graph), dir_);
+  write_file_atomic(snap_part_path(dir_, epoch), format_partition(assignment),
+                    dir_);
   write_file_atomic(dir_ + "/CURRENT",
                     std::to_string(epoch) + " " + std::to_string(digest) +
                         "\n",

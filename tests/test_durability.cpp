@@ -157,6 +157,55 @@ TEST(Durability, RecoveryReplaysCompactedLog) {
   EXPECT_EQ(service.snapshot(1)->assignment, live.assignment);
 }
 
+// Snapshots must not round weights.  A weighted session that compacts and
+// recovers comes back with bit-equal edge and vertex weights and the same
+// state digest; six significant digits would turn 1/3 into 0.333333.
+TEST(Durability, WeightedSessionCompactsAndRecoversBitExact) {
+  const PartId k = 3;
+  const std::string dir = fresh_dir("weighted");
+  ServiceConfig sc = durable_config(dir);
+  sc.durability.compaction.damage_threshold = 1;
+  sc.durability.compaction.min_records = 2;
+  const auto weighted_grid = [](VertexId rows) {
+    const Graph grid = make_grid(rows, 12);
+    GraphBuilder b(grid.num_vertices());
+    for (VertexId v = 0; v < grid.num_vertices(); ++v) {
+      b.set_vertex_weight(v, v % 5 == 0 ? 1234567.0 / 1e6 : 1.0 + 1.0 / 3.0);
+      for (const VertexId u : grid.neighbors(v)) {
+        if (u > v) b.add_edge(v, u, u == v + 1 ? 1.0 / 3.0 : 0.1 + 0.2);
+      }
+    }
+    return std::make_shared<const Graph>(b.build());
+  };
+
+  auto prev = weighted_grid(12);
+  SessionSnapshot live;
+  std::uint64_t live_digest = 0;
+  {
+    PartitionService service(sc);
+    const SessionId id = service.open_session(prev, column_bands(12, 12, k),
+                                              session_config(k));
+    for (VertexId rows = 13; rows <= 19; ++rows) {
+      auto next = weighted_grid(rows);
+      service.submit_update(id, next, diff_graphs(*prev, *next));
+      prev = next;
+    }
+    EXPECT_GE(service.session_stats(id).wal.compactions, 2u);
+    live = *service.snapshot(id);
+    live_digest = service.session_handle(id)->state_digest();
+  }
+
+  PartitionService service(sc);
+  const auto reports = service.recover(session_config(k));
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_GE(reports[0].snapshot_epoch, 4u);
+  const auto snap = service.snapshot(1);
+  EXPECT_EQ(snap->graph->ewgt(), live.graph->ewgt());
+  EXPECT_EQ(snap->graph->vwgt(), live.graph->vwgt());
+  EXPECT_EQ(snap->assignment, live.assignment);
+  EXPECT_EQ(service.session_handle(1)->state_digest(), live_digest);
+}
+
 TEST(Durability, TornTailRecoversToLastDurableEpoch) {
   const PartId k = 3;
   const std::string dir = fresh_dir("torn");

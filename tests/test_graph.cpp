@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
+#include <vector>
 
 #include "common/assert.hpp"
 #include "common/rng.hpp"
@@ -251,12 +253,12 @@ TEST(GraphBuilder, CountingSortConstructionMatchesNaiveMerge) {
   }
 }
 
-// The radix (two counting scatters) construction must agree with a
-// per-row comparison sort — the implementation it replaced — on graphs with
-// heavy duplicate multiplicity and fractional weights.  Weight sums may
-// associate in a different order than the sorted-pair reference, hence the
-// near (not bitwise) comparison for the fractional case.
-TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
+// The one-scatter construction (with its per-row fix-up) must agree with a
+// per-row comparison sort on graphs with heavy duplicate multiplicity and
+// fractional weights.  Weight sums may associate in a different order than
+// the sorted-pair reference, hence the near (not bitwise) comparison for the
+// fractional case.
+TEST(GraphBuilder, ScatterConstructionMatchesPerRowSortReference) {
   Rng rng(0xadd1);
   for (int round = 0; round < 8; ++round) {
     const bool fractional = round % 2 == 1;
@@ -313,6 +315,146 @@ TEST(GraphBuilder, RadixConstructionMatchesPerRowSortReference) {
       }
     }
   }
+}
+
+// Bitwise contract of build(): every row is its edges in insertion order,
+// stably sorted by neighbour, with duplicates summed left to right.  Checked
+// on random multigraphs with fractional weights, self-loops, vertex weights
+// and coordinates, on inputs that arrive already ascending (the fast path)
+// and ones that need the fix-up, with short and long rows, and across
+// build() calls on one reused builder.
+TEST(GraphBuilder, BuildMatchesInsertionOrderStableReference) {
+  struct E {
+    VertexId u, v;
+    double w;
+  };
+  const auto reference_check = [](const Graph& g, VertexId n,
+                                  const std::vector<E>& raw,
+                                  const std::vector<double>& vwgt,
+                                  const std::vector<Point2>& coords) {
+    std::vector<std::vector<std::pair<VertexId, double>>> rows(
+        static_cast<std::size_t>(n));
+    for (const E& e : raw) {
+      if (e.u == e.v) continue;
+      rows[static_cast<std::size_t>(e.u)].emplace_back(e.v, e.w);
+      rows[static_cast<std::size_t>(e.v)].emplace_back(e.u, e.w);
+    }
+    std::vector<std::int32_t> xadj = {0};
+    std::vector<VertexId> adj;
+    std::vector<double> wgt;
+    for (auto& row : rows) {
+      std::stable_sort(row.begin(), row.end(), [](const auto& a, const auto& b) {
+        return a.first < b.first;
+      });
+      const std::size_t row_start = adj.size();
+      for (const auto& [v, w] : row) {
+        if (adj.size() > row_start && adj.back() == v) {
+          wgt.back() += w;
+        } else {
+          adj.push_back(v);
+          wgt.push_back(w);
+        }
+      }
+      xadj.push_back(static_cast<std::int32_t>(adj.size()));
+    }
+    ASSERT_EQ(g.xadj(), xadj);
+    ASSERT_EQ(g.adjncy(), adj);
+    ASSERT_EQ(g.ewgt(), wgt);  // exact: same summation order
+    ASSERT_EQ(g.vwgt(), vwgt);
+    double total = 0.0;
+    for (const double w : vwgt) total += w;
+    EXPECT_EQ(g.total_vertex_weight(), total);
+    const auto unit = [](double w) { return w == 1.0; };
+    EXPECT_EQ(g.unit_weights(), std::all_of(vwgt.begin(), vwgt.end(), unit) &&
+                                    std::all_of(wgt.begin(), wgt.end(), unit));
+    EXPECT_EQ(g.coordinates(), coords);
+  };
+
+  Rng rng(0xb1d5);
+  for (int round = 0; round < 24; ++round) {
+    const bool fractional = round % 2 == 1;
+    const bool ascending = round % 4 == 0;   // rows arrive in order
+    const bool hubby = round % 6 == 3;       // some rows beyond insertion sort
+    const VertexId n = 2 + static_cast<VertexId>(rng.uniform_int(60));
+    GraphBuilder b(n);
+    std::vector<E> raw;
+    std::vector<double> vwgt(static_cast<std::size_t>(n), 1.0);
+    std::vector<Point2> coords;
+    const auto add = [&](VertexId u, VertexId v, double w) {
+      b.add_edge(u, v, w);
+      raw.push_back({u, v, w});
+    };
+    const auto weight = [&] {
+      return fractional ? 0.1 + rng.uniform() / 3.0 : 1.0;
+    };
+    if (ascending) {
+      // Lower endpoint ascending, then neighbour ascending: every row is
+      // strictly ascending as scattered.
+      for (VertexId u = 0; u < n; ++u) {
+        for (VertexId v = u + 1; v < n; ++v) {
+          if (rng.bernoulli(0.2)) add(u, v, weight());
+        }
+      }
+    } else {
+      const int edges = rng.uniform_int(8 * n) + (hubby ? 200 : 0);
+      for (int e = 0; e < edges; ++e) {
+        auto u = static_cast<VertexId>(rng.uniform_int(n));
+        auto v = static_cast<VertexId>(rng.uniform_int(n));
+        if (hubby && rng.bernoulli(0.5)) u = 0;  // a long row
+        if (rng.bernoulli(0.3)) v = (u + 1) % n;  // duplicate pile-ups
+        add(u, v, weight());                      // u == v: a dropped self-loop
+      }
+    }
+    if (round % 3 == 1) {
+      for (VertexId v = 0; v < n; v += 3) {
+        const double w = 0.5 + rng.uniform();
+        b.set_vertex_weight(v, w);
+        vwgt[static_cast<std::size_t>(v)] = w;
+      }
+    }
+    if (round % 5 == 2) {
+      coords.resize(static_cast<std::size_t>(n));
+      for (VertexId v = 1; v < n; v += 2) {
+        const Point2 p{rng.uniform(), rng.uniform()};
+        b.set_coordinate(v, p);
+        coords[static_cast<std::size_t>(v)] = p;
+      }
+    }
+    reference_check(b.build(), n, raw, vwgt, coords);
+    if (::testing::Test::HasFatalFailure()) return;
+
+    // Reuse: the builder keeps its edges, takes more, and builds again.
+    for (int e = 0; e < n; ++e) {
+      add(static_cast<VertexId>(rng.uniform_int(n)),
+          static_cast<VertexId>(rng.uniform_int(n)), weight());
+    }
+    reference_check(b.build(), n, raw, vwgt, coords);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+// unit_weights() is a property of the built graph, not of the inputs.
+TEST(GraphBuilder, UnitWeightsReflectMergedAndResetWeights) {
+  GraphBuilder dup(3);
+  dup.add_edge(0, 1);
+  dup.add_edge(1, 0);  // merges to weight 2
+  EXPECT_FALSE(dup.build().unit_weights());
+
+  GraphBuilder halves(3);
+  halves.add_edge(0, 1, 0.5);
+  halves.add_edge(1, 0, 0.5);  // merges to weight 1
+  halves.add_edge(1, 2);
+  EXPECT_TRUE(halves.build().unit_weights());
+
+  GraphBuilder reset(3);
+  reset.add_edge(0, 1);
+  reset.set_vertex_weight(2, 4.0);
+  EXPECT_FALSE(reset.build().unit_weights());
+  reset.set_vertex_weight(2, 1.0);
+  const Graph g = reset.build();
+  EXPECT_TRUE(g.unit_weights());
+  EXPECT_EQ(g.total_vertex_weight(), 3.0);
+  EXPECT_FALSE(g.has_coordinates());
 }
 
 TEST(Graph, CsrConsistencyOnRandomGraph) {

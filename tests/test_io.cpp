@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "common/rng.hpp"
 #include "graph/generators.hpp"
@@ -42,6 +43,61 @@ TEST(GraphIo, WeightedRoundTrip) {
   EXPECT_DOUBLE_EQ(h.vertex_weight(1), 1.0);
   EXPECT_DOUBLE_EQ(h.edge_weight(0, 1).value(), 2.5);
   EXPECT_DOUBLE_EQ(h.edge_weight(2, 3).value(), 4.0);
+}
+
+// Weights that six significant digits would round (1/3, 1234567, 0.1+0.2)
+// must read back as the same doubles.
+TEST(GraphIo, WeightedRoundTripIsBitExact) {
+  const double awkward[] = {1.0 / 3.0, 1234567.0,       0.1 + 0.2,
+                            2.0 / 3.0 * 1e10, 1e-7 / 3.0, 123456789.123,
+                            1.0 + 1e-15,      1e300};
+  GraphBuilder b(6);
+  int i = 0;
+  for (VertexId v = 0; v < 6; ++v) {
+    b.set_vertex_weight(v, awkward[i++ % 8]);
+    for (VertexId u = v + 1; u < 6; u += 2) b.add_edge(v, u, awkward[i++ % 8]);
+  }
+  const Graph g = b.build();
+  std::stringstream ss;
+  write_graph(ss, g);
+  const Graph h = read_graph(ss);
+  EXPECT_EQ(h.xadj(), g.xadj());
+  EXPECT_EQ(h.adjncy(), g.adjncy());
+  EXPECT_EQ(h.ewgt(), g.ewgt());
+  EXPECT_EQ(h.vwgt(), g.vwgt());
+  EXPECT_EQ(h.total_vertex_weight(), g.total_vertex_weight());
+}
+
+// Unit-weight snapshot bytes are fixed: they must equal the stream-formatted
+// reference below ("n m" header, 1-based neighbour ids, one line per
+// vertex; one part id per line).
+TEST(GraphIo, UnitWeightSnapshotBytesUnchanged) {
+  const Graph g = make_grid(300, 200);
+  std::ostringstream expect;
+  expect << g.num_vertices() << ' ' << g.num_edges() << '\n';
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    const auto nbrs = g.neighbors(v);
+    for (std::size_t i = 0; i < nbrs.size(); ++i) {
+      if (i > 0) expect << ' ';
+      expect << (nbrs[i] + 1);
+    }
+    expect << '\n';
+  }
+  std::ostringstream got;
+  write_graph(got, g);
+  EXPECT_EQ(got.str(), expect.str());
+  EXPECT_EQ(format_graph(g), expect.str());
+
+  Assignment a(static_cast<std::size_t>(g.num_vertices()));
+  for (std::size_t v = 0; v < a.size(); ++v) {
+    a[v] = static_cast<PartId>((v * 7) % 13);
+  }
+  std::ostringstream expect_part;
+  for (const PartId p : a) expect_part << p << '\n';
+  std::ostringstream got_part;
+  write_partition(got_part, a);
+  EXPECT_EQ(got_part.str(), expect_part.str());
+  EXPECT_EQ(format_partition(a), expect_part.str());
 }
 
 TEST(GraphIo, HeaderFormatCode) {

@@ -8,11 +8,14 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/backoff.hpp"
 #include "common/checksum.hpp"
+#include "common/rng.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/delta_codec.hpp"
 #include "graph/generators.hpp"
@@ -147,6 +150,210 @@ TEST(WalCodec, RejectsTruncatedAndCorruptBytes) {
   // Decoding against the wrong previous snapshot must fail the seam checks,
   // not fabricate a graph.
   EXPECT_THROW(decode_delta(make_grid(5, 5), bytes), Error);
+}
+
+// decode_delta splices the grown graph from the predecessor's arrays; it
+// must reproduce GraphBuilder's canonical graph field for field (records
+// carry no coordinates).
+void expect_same_fields(const Graph& decoded, const Graph& grown) {
+  EXPECT_EQ(decoded.xadj(), grown.xadj());
+  EXPECT_EQ(decoded.adjncy(), grown.adjncy());
+  EXPECT_EQ(decoded.ewgt(), grown.ewgt());
+  EXPECT_EQ(decoded.vwgt(), grown.vwgt());
+  EXPECT_EQ(decoded.total_vertex_weight(), grown.total_vertex_weight());
+  EXPECT_EQ(decoded.unit_weights(), grown.unit_weights());
+  EXPECT_FALSE(decoded.has_coordinates());
+}
+
+// Replays a stream the way recovery and the standby do: every record is
+// decoded against the previous *decoded* graph.
+void expect_stream_round_trips(const std::vector<Graph>& stream) {
+  Graph prev = stream.front();
+  for (std::size_t i = 1; i < stream.size(); ++i) {
+    const GraphDelta delta = diff_graphs(prev, stream[i]);
+    const DecodedDelta decoded =
+        decode_delta(prev, encode_delta(stream[i], delta));
+    SCOPED_TRACE("stream step " + std::to_string(i));
+    expect_same_fields(decoded.grown, stream[i]);
+    EXPECT_EQ(decoded.delta.touched_old, delta.touched_old);
+    prev = decoded.grown;
+  }
+}
+
+using EdgeWeights = std::map<std::pair<VertexId, VertexId>, double>;
+
+Graph graph_from(VertexId n, const EdgeWeights& edges,
+                 const std::vector<double>& vwgt = {}) {
+  GraphBuilder b(n);
+  for (const auto& [uv, w] : edges) b.add_edge(uv.first, uv.second, w);
+  for (std::size_t v = 0; v < vwgt.size(); ++v) {
+    b.set_vertex_weight(static_cast<VertexId>(v), vwgt[v]);
+  }
+  return b.build();
+}
+
+TEST(WalCodec, DecodeEqualsGrownOnGridRowGrowth) {
+  std::vector<Graph> stream;
+  for (VertexId rows = 6; rows <= 12; ++rows) {
+    stream.push_back(make_grid(rows, 16));
+  }
+  expect_stream_round_trips(stream);
+}
+
+TEST(WalCodec, DecodeEqualsGrownOnWeightedChurn) {
+  Rng rng(0xc4u);
+  const VertexId n = 40;
+  EdgeWeights edges;
+  std::vector<double> vwgt(static_cast<std::size_t>(n), 1.0);
+  for (VertexId v = 0; v + 1 < n; ++v) edges[{v, v + 1}] = 1.0;
+  std::vector<Graph> stream = {graph_from(n, edges, vwgt)};
+  for (int step = 0; step < 12; ++step) {
+    for (int c = 0; c < 4; ++c) {
+      const auto u = static_cast<VertexId>(rng.uniform_int(n));
+      const auto v = static_cast<VertexId>(rng.uniform_int(n));
+      if (u == v) continue;
+      const auto key = std::make_pair(std::min(u, v), std::max(u, v));
+      if (edges.count(key) != 0 && rng.bernoulli(0.4)) {
+        edges.erase(key);
+      } else {
+        edges[key] = 0.1 + rng.uniform() / 3.0;  // fractional reweight
+      }
+    }
+    vwgt[static_cast<std::size_t>(rng.uniform_int(n))] = 1.0 / 3.0 + step;
+    stream.push_back(graph_from(n, edges, vwgt));
+  }
+  expect_stream_round_trips(stream);
+}
+
+TEST(WalCodec, DecodeEqualsGrownOnHubHeavyGrowth) {
+  // Barabasi-Albert-style: each new vertex links to 3 endpoints drawn from
+  // the degree-weighted endpoint list, so a few hubs collect most edges.
+  Rng rng(0xba5u);
+  EdgeWeights edges;
+  std::vector<VertexId> ends;
+  VertexId n = 5;
+  for (VertexId u = 0; u < n; ++u) {
+    for (VertexId v = u + 1; v < n; ++v) {
+      edges[{u, v}] = 1.0;
+      ends.push_back(u);
+      ends.push_back(v);
+    }
+  }
+  std::vector<Graph> stream = {graph_from(n, edges)};
+  for (int step = 0; step < 10; ++step) {
+    for (int added = 0; added < 20; ++added, ++n) {
+      for (int t = 0; t < 3; ++t) {
+        const VertexId target =
+            ends[static_cast<std::size_t>(rng.uniform_int(
+                static_cast<int>(ends.size())))];
+        if (edges.emplace(std::make_pair(target, n), 1.0).second) {
+          ends.push_back(target);
+          ends.push_back(n);
+        }
+      }
+    }
+    stream.push_back(graph_from(n, edges));
+  }
+  expect_stream_round_trips(stream);
+}
+
+TEST(WalCodec, DecodeEqualsGrownOnEmptyAndAllTouchedDeltas) {
+  const Graph prev = make_grid(9, 7);
+  // Empty delta: no growth, nothing touched — the predecessor comes back.
+  const GraphDelta none = diff_graphs(prev, prev);
+  ASSERT_TRUE(none.touched_old.empty());
+  expect_same_fields(decode_delta(prev, encode_delta(prev, none)).grown, prev);
+
+  // All touched: every survivor's row comes from the record, including
+  // rows that did not change (an over-approximate delta is still exact).
+  const Graph grown = make_grid(11, 7);
+  GraphDelta all;
+  all.old_num_vertices = prev.num_vertices();
+  for (VertexId v = 0; v < prev.num_vertices(); ++v) {
+    all.touched_old.push_back(v);
+  }
+  const DecodedDelta decoded = decode_delta(prev, encode_delta(grown, all));
+  expect_same_fields(decoded.grown, grown);
+  EXPECT_EQ(decoded.delta.touched_old, all.touched_old);
+}
+
+TEST(WalCodec, RejectsRecordThatDropsAnEdgeOfAnUntouchedVertex) {
+  // prev: 3x3 grid.  grown drops edge (1,4), which changes the rows of both
+  // 1 and 4 — but the record lists only 4 as touched, so "untouched"
+  // vertex 1 would keep an edge its neighbour no longer has.
+  const Graph prev = make_grid(3, 3);
+  EdgeWeights edges;
+  for (VertexId v = 0; v < 9; ++v) {
+    for (const VertexId u : prev.neighbors(v)) {
+      if (u > v && !(v == 1 && u == 4)) edges[{v, u}] = 1.0;
+    }
+  }
+  const Graph grown = graph_from(9, edges);
+  GraphDelta inexact;
+  inexact.old_num_vertices = 9;
+  inexact.touched_old = {4};
+  EXPECT_THROW(decode_delta(prev, encode_delta(grown, inexact)), Error);
+
+  // The exact delta decodes.
+  const GraphDelta exact = diff_graphs(prev, grown);
+  EXPECT_EQ(exact.touched_old, (std::vector<VertexId>{1, 4}));
+  expect_same_fields(decode_delta(prev, encode_delta(grown, exact)).grown,
+                     grown);
+}
+
+// A hand-written record in the codec's layout: magic, |V_old|, |V_new|, the
+// touched ids, then (vertex weight, degree, (neighbour, weight)*) per
+// recorded vertex.
+struct RecordRow {
+  double vwgt = 1.0;
+  std::vector<std::pair<VertexId, double>> nbrs;
+};
+
+std::string hand_record(VertexId old_n, VertexId new_n,
+                        const std::vector<VertexId>& touched,
+                        const std::vector<RecordRow>& rows) {
+  std::string out;
+  const auto put = [&out](auto value) {
+    out.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(std::uint32_t{0x31434447u});
+  put(static_cast<std::uint64_t>(old_n));
+  put(static_cast<std::uint64_t>(new_n));
+  put(static_cast<std::uint64_t>(touched.size()));
+  for (const VertexId v : touched) put(static_cast<std::uint64_t>(v));
+  for (const RecordRow& row : rows) {
+    put(row.vwgt);
+    put(static_cast<std::uint64_t>(row.nbrs.size()));
+    for (const auto& [x, w] : row.nbrs) {
+      put(static_cast<std::uint64_t>(x));
+      put(w);
+    }
+  }
+  return out;
+}
+
+TEST(WalCodec, RejectsRecordedRowsThatDisagree) {
+  // prev: path 0-1-2-3.  Vertices 1 and 2 are touched; their shared edge
+  // must read the same from both rows.
+  GraphBuilder pb(4);
+  for (VertexId v = 0; v + 1 < 4; ++v) pb.add_edge(v, v + 1);
+  const Graph prev = pb.build();
+  const auto record = [](double w12, double w21, bool list21) {
+    RecordRow one{1.0, {{0, 1.0}, {2, w12}}};
+    RecordRow two{1.0, {{3, 1.0}}};
+    if (list21) two.nbrs.insert(two.nbrs.begin(), {1, w21});
+    return hand_record(4, 4, {1, 2}, {one, two});
+  };
+
+  // Consistent: reweighting the shared edge on both sides decodes.
+  const Graph g = decode_delta(prev, record(2.5, 2.5, true)).grown;
+  EXPECT_EQ(g.edge_weight(1, 2).value(), 2.5);
+  EXPECT_EQ(g.edge_weight(2, 1).value(), 2.5);
+
+  // Different weights on the two sides.
+  EXPECT_THROW(decode_delta(prev, record(2.5, 3.0, true)), Error);
+  // The edge on one side only.
+  EXPECT_THROW(decode_delta(prev, record(2.5, 0.0, false)), Error);
 }
 
 // ---------------------------------------------------------------------------
