@@ -15,12 +15,11 @@ namespace {
 /// Shared state of one parallel_for: threads claim disjoint index ranges via
 /// `next` and account completion via `done`; the issuing thread blocks until
 /// done == n.  Lives on the heap (shared_ptr) because helper tasks may still
-/// be queued — and harmlessly find no work — after the issuing call returned.
-/// The range function is invoked once per claimed range (the blocked
-/// overload's contract); the per-index overload wraps its fn in a range loop
-/// so both share this one claiming/accounting path.
+/// be queued — and harmlessly find no work — after the issuing call returned;
+/// `fn` points at the caller's function, which is only called for claimed
+/// indices, all of which finish before the call returns.
 struct LoopState {
-  std::function<void(std::size_t, std::size_t)> fn;
+  const std::function<void(std::size_t)>* fn = nullptr;
   std::size_t n = 0;
   std::size_t grain = 1;
   std::atomic<std::size_t> next{0};
@@ -39,7 +38,7 @@ struct LoopState {
       // loop still reaches done == n and the caller can rethrow.
       if (!failed.load(std::memory_order_relaxed)) {
         try {
-          fn(begin, end);
+          for (std::size_t i = begin; i < end; ++i) (*fn)(i);
         } catch (...) {
           std::lock_guard<std::mutex> lock(mu);
           if (!error) error = std::current_exception();
@@ -89,36 +88,35 @@ int Executor::hardware_threads() {
 
 void Executor::worker_loop() {
   for (;;) {
-    std::function<void()> task;
+    Job job;
     {
       std::unique_lock<std::mutex> lock(mu_);
       work_cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       if (queue_.empty()) return;  // stop_ set and nothing left to run
-      task = std::move(queue_.front());
+      job = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (--outstanding_ == 0) done_cv_.notify_all();
-    }
+    run_job(job);
   }
 }
 
 bool Executor::run_one() {
-  std::function<void()> task;
+  Job job;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (queue_.empty()) return false;
-    task = std::move(queue_.front());
+    job = std::move(queue_.front());
     queue_.pop_front();
   }
-  task();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (--outstanding_ == 0) done_cv_.notify_all();
-  }
+  run_job(job);
   return true;
+}
+
+void Executor::run_job(Job& job) {
+  job.fn();
+  if (!job.submitted) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--outstanding_ == 0) done_cv_.notify_all();
 }
 
 void Executor::submit(std::function<void()> task) {
@@ -138,14 +136,14 @@ void Executor::submit(std::function<void()> task) {
                             telemetry_now_seconds() - started_at);
   };
 #endif
-  enqueue(std::move(task));
+  enqueue(Job{std::move(task), /*submitted=*/true});
 }
 
-void Executor::enqueue(std::function<void()> task) {
+void Executor::enqueue(Job job) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    ++outstanding_;
-    queue_.push_back(std::move(task));
+    if (job.submitted) ++outstanding_;
+    queue_.push_back(std::move(job));
   }
   work_cv_.notify_one();
 }
@@ -165,22 +163,14 @@ void Executor::wait() {
 void Executor::parallel_for(std::size_t n,
                             const std::function<void(std::size_t)>& fn,
                             std::size_t grain) {
-  parallel_for(n, grain, [&fn](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-  });
-}
-
-void Executor::parallel_for(
-    std::size_t n, std::size_t grain,
-    const std::function<void(std::size_t, std::size_t)>& fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {
-    fn(0, n);
+    for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
   auto state = std::make_shared<LoopState>();
-  state->fn = fn;
+  state->fn = &fn;
   state->n = n;
   if (grain == 0) {
     // ~4 ranges per thread balances load without shredding cache locality.
@@ -193,7 +183,7 @@ void Executor::parallel_for(
   const std::size_t helpers =
       std::min(workers_.size(), ranges > 0 ? ranges - 1 : 0);
   for (std::size_t h = 0; h < helpers; ++h) {
-    enqueue([state] { state->drain(); });
+    enqueue(Job{[state] { state->drain(); }});
   }
 
   state->drain();  // the issuing thread always participates

@@ -59,16 +59,6 @@ class Executor {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn,
                     std::size_t grain = 0);
 
-  /// Blocked variant: runs fn(begin, end) over disjoint half-open ranges
-  /// covering [0, n), each of at most `grain` consecutive indices (0 =
-  /// choose automatically).  One std::function dispatch per RANGE instead of
-  /// per index, so fine-grained loops (a few hundred nanoseconds per index)
-  /// are not dominated by call overhead; the batch-scoring kernel of
-  /// parallel refinement runs on this.  Same participation, completion, and
-  /// exception contract as the per-index overload.
-  void parallel_for(std::size_t n, std::size_t grain,
-                    const std::function<void(std::size_t, std::size_t)>& fn);
-
   /// Runs every closure in `tasks` exactly once (caller participates) and
   /// blocks until all have completed.  Closure i is always item i — there is
   /// no stealing of a started task — so per-task state (e.g. one RNG stream
@@ -87,27 +77,36 @@ class Executor {
   /// helps drain the queue while waiting.
   void wait();
 
-  /// Tasks currently queued or executing — a monitoring gauge (the service
-  /// layer reports it as backlog), racy by nature: the value may be stale
-  /// by the time the caller reads it.  Wait-free (a relaxed atomic load),
-  /// so high-frequency samplers never contend with task dispatch.
+  /// submit()ed tasks currently queued or executing — a monitoring gauge
+  /// (the service layer reports it as backlog), racy by nature: the value
+  /// may be stale by the time the caller reads it.  parallel_for's helper
+  /// tasks are not counted: they are slices of a caller that is already
+  /// running, and one queued from inside a pool task can sit in the queue
+  /// until that task ends.  Wait-free (a relaxed atomic load), so
+  /// high-frequency samplers never contend with task dispatch.
   int pending() const;
 
  private:
+  struct Job {
+    std::function<void()> fn;
+    bool submitted = false;  ///< counted in outstanding_ (not a helper)
+  };
+
   void worker_loop();
-  /// Pops and runs one queued task if available; returns false when idle.
+  /// Pops and runs one queued job if available; returns false when idle.
   bool run_one();
-  /// Raw enqueue without telemetry wrapping (parallel_for helpers).
-  void enqueue(std::function<void()> task);
+  /// Runs a popped job and retires it from outstanding_ if it was submitted.
+  void run_job(Job& job);
+  void enqueue(Job job);
 
   std::vector<std::thread> workers_;
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   ///< signals queue_ non-empty or stop_
   std::condition_variable done_cv_;   ///< signals outstanding_ hit zero
-  std::deque<std::function<void()>> queue_;
-  /// Queued + currently executing tasks.  Atomic so pending() can read it
-  /// without mu_; all writes still happen under mu_ because done_cv_ waiters
-  /// check it as their predicate.
+  std::deque<Job> queue_;
+  /// Queued + currently executing submit()ed tasks.  Atomic so pending() can
+  /// read it without mu_; all writes still happen under mu_ because done_cv_
+  /// waiters check it as their predicate.
   std::atomic<int> outstanding_{0};
   bool stop_ = false;
 };

@@ -168,7 +168,10 @@ class PartitionService {
       SessionId id, std::shared_ptr<const Graph> grown,
       const GraphDelta& delta);
 
-  /// Latest snapshot of one session; wait-free against repair/refinement.
+  /// Latest snapshot of one session: a shared_ptr copy under two short
+  /// locks (the session table's, then the session's snapshot mutex).
+  /// Neither lock is held across repair or refinement, so a reader waits
+  /// at most for another pointer copy or a publish's pointer swap.
   std::shared_ptr<const SessionSnapshot> snapshot(SessionId id) const;
 
   SessionStats session_stats(SessionId id) const;

@@ -616,15 +616,6 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
   opt.min_gain = config.repair_min_gain;
   opt.max_passes = config.refine_hill_climb_passes;
   opt.cancel = job.cancel.get();
-  // Large sessions shard their boundary over the service pool: the policy
-  // routes them to the parallel batch engine, which falls back to this same
-  // serial climb when the pool is effectively single-threaded.
-  if (route_refinement_parallel(config.policy, g.num_vertices(),
-                                executor != nullptr ? executor->num_threads()
-                                                    : 1)) {
-    opt.mode = HillClimbMode::kParallelFrontier;
-    opt.executor = executor;
-  }
   {
     GAPART_SPAN("refine.climb");
     hill_climb(eval, state, opt);

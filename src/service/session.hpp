@@ -24,8 +24,9 @@
 //     publication back into the live state is epoch-checked, so a refinement
 //     raced by newer deltas is discarded, never merged wrongly.
 //
-// Readers never block on either plane: snapshot() hands out the latest
-// epoch-versioned, immutable SessionSnapshot via shared_ptr swap.
+// Readers never wait for either plane: snapshot() copies the latest
+// epoch-versioned, immutable SessionSnapshot pointer under a mutex that
+// publication holds only for the pointer swap.
 #pragma once
 
 #include <atomic>

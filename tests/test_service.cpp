@@ -27,7 +27,7 @@ namespace gapart {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Policy units: decide_refinement / route_refinement_parallel are pure, so
+// Policy units: decide_refinement is pure, so
 // the trigger matrix is testable without sessions or clocks.
 
 RefinePolicyConfig policy_config() {
@@ -120,24 +120,6 @@ TEST(RefinePolicy, DegradationIsRelativeAndClampedAtZero) {
   EXPECT_DOUBLE_EQ(fitness_degradation(-110.0, -100.0), 0.1);
   EXPECT_DOUBLE_EQ(fitness_degradation(-90.0, -100.0), 0.0);  // improved
   EXPECT_DOUBLE_EQ(fitness_degradation(-0.5, 0.0), 0.5);  // zero baseline
-}
-
-TEST(RefinePolicy, ParallelRoutingNeedsSizeAndThreads) {
-  RefinePolicyConfig c;
-  c.parallel_refine_min_vertices = 1000;
-  EXPECT_TRUE(route_refinement_parallel(c, 1000, 4));
-  EXPECT_TRUE(route_refinement_parallel(c, 5000, 2));
-  EXPECT_FALSE(route_refinement_parallel(c, 999, 4));   // below the floor
-  EXPECT_FALSE(route_refinement_parallel(c, 5000, 1));  // serial pool
-  EXPECT_FALSE(route_refinement_parallel(c, 5000, 0));
-}
-
-TEST(RefinePolicy, ParallelRoutingDisabledByNonPositiveFloor) {
-  RefinePolicyConfig c;
-  c.parallel_refine_min_vertices = 0;
-  EXPECT_FALSE(route_refinement_parallel(c, 1 << 20, 8));
-  c.parallel_refine_min_vertices = -1;
-  EXPECT_FALSE(route_refinement_parallel(c, 1 << 20, 8));
 }
 
 // ---------------------------------------------------------------------------
@@ -347,42 +329,42 @@ TEST(PartitionSession, RefinementJobLifecycle) {
   EXPECT_EQ(session.stats().refinements_applied, 1);
 }
 
-TEST(PartitionSession, ParallelRoutedRefinementImprovesAndApplies) {
+TEST(PartitionSession, RefinementIndependentOfPoolWidth) {
   const PartId k = 4;
   auto g = shared_grid(16, 16);
   SessionConfig cfg = basic_config(k);
-  cfg.repair_budget_seconds = 0.0;
-  cfg.policy.damage_threshold = 1;  // fire immediately
-  cfg.policy.staleness_updates = 0;
-  cfg.policy.quality_watermark = 0.0;
-  // Force the kLight climb of THIS small session onto the parallel engine.
-  cfg.policy.parallel_refine_min_vertices = 1;
+  cfg.deep.ga.max_generations = 20;
+  cfg.deep_vcycle.dpga = cfg.deep;
 
   Rng rng(0x5eed);
-  Assignment scrambled(256);
-  for (auto& p : scrambled) p = static_cast<PartId>(rng.uniform_int(k));
-  PartitionSession session(g, scrambled, cfg);
+  PartitionSession::RefineJob job;
+  job.graph = g;
+  job.assignment.resize(256);
+  for (auto& p : job.assignment) p = static_cast<PartId>(rng.uniform_int(k));
+  job.fitness = evaluate_fitness(*g, job.assignment, k, cfg.fitness);
+  job.cancel = std::make_shared<std::atomic<bool>>(false);
 
-  auto grown = shared_grid(17, 16);
-  session.apply_update(grown, diff_graphs(*g, *grown));
-  auto job = session.plan_refinement();
-  ASSERT_TRUE(job.has_value());
-
-  Executor pool(4);
-  const RefineOutcome out = run_refinement(*job, cfg, Rng(1), &pool);
-  EXPECT_GT(out.fitness, job->fitness);  // scrambled start: must improve
-  EXPECT_TRUE(
-      is_valid_assignment(*job->graph, out.assignment, k));
-  // Routed runs are deterministic for a fixed pool width (scores land
-  // indexed by worklist position; the apply is serial ascending).
-  const RefineOutcome out2 = run_refinement(*job, cfg, Rng(1), &pool);
-  EXPECT_EQ(out.assignment, out2.assignment);
-
-  Assignment refined = out.assignment;
-  EXPECT_TRUE(session.complete_refinement(*job, std::move(refined),
-                                          out.fitness, out.full_evaluations,
-                                          out.delta_evaluations));
-  expect_snapshot_consistent(*session.snapshot(), k);
+  struct Tier {
+    const char* name;
+    RefineDepth depth;
+    VertexId vcycle_min_vertices;
+  };
+  for (const Tier& tier : {Tier{"light", RefineDepth::kLight, 0},
+                           Tier{"deep V-cycle", RefineDepth::kDeep, 1},
+                           Tier{"deep flat DPGA", RefineDepth::kDeep, 0}}) {
+    job.depth = tier.depth;
+    cfg.policy.vcycle_min_vertices = tier.vcycle_min_vertices;
+    const RefineOutcome serial = run_refinement(job, cfg, Rng(1), nullptr);
+    EXPECT_GT(serial.fitness, job.fitness) << tier.name;
+    for (const int threads : {1, 4}) {
+      Executor pool(threads);
+      const RefineOutcome pooled = run_refinement(job, cfg, Rng(1), &pool);
+      EXPECT_EQ(pooled.assignment, serial.assignment)
+          << tier.name << ", " << threads << " threads";
+      EXPECT_EQ(pooled.fitness, serial.fitness)
+          << tier.name << ", " << threads << " threads";
+    }
+  }
 }
 
 TEST(PartitionSession, StaleRefinementIsDiscarded) {

@@ -195,6 +195,25 @@ TEST(Vcycle, RefineNeverWorseThanSeed) {
             compute_metrics(g, seed, k).total_cut());
 }
 
+TEST(Vcycle, RefineIndependentOfPoolWidth) {
+  const Graph g = make_grid(24, 24);
+  const PartId k = 4;
+  Assignment seed(static_cast<std::size_t>(g.num_vertices()));
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    seed[static_cast<std::size_t>(v)] = static_cast<PartId>(v % k);
+  }
+  const VcycleGaOptions opt = small_vcycle(k);
+  Rng serial_rng(41);
+  const VcycleGaResult serial = vcycle_ga_refine(g, seed, opt, serial_rng);
+  for (const int threads : {1, 4}) {
+    Executor pool(threads);
+    Rng rng(41);
+    const VcycleGaResult pooled = vcycle_ga_refine(g, seed, opt, rng, &pool);
+    EXPECT_EQ(pooled.assignment, serial.assignment) << threads << " threads";
+    EXPECT_EQ(pooled.fitness, serial.fitness) << threads << " threads";
+  }
+}
+
 TEST(Vcycle, RefineWithCancelledTokenStillMonotoneAndValid) {
   const Graph g = make_grid(16, 16);
   const PartId k = 2;
