@@ -53,7 +53,7 @@ IncrementalResult incremental_repartition(const Graph& grown,
 
   // Tier 2: damage-proportional repair — worklist-seeded frontier climb
   // from the delta's seeds, then full-boundary verification.
-  if (options.seeded_repair) {
+  {
     WallTimer t;
     IncrementalTierStats tier;
     tier.name = "seeded_repair";
@@ -62,8 +62,6 @@ IncrementalResult incremental_repartition(const Graph& grown,
     HillClimbOptions hc;
     hc.fitness = params;
     hc.max_passes = options.repair_max_passes;
-    hc.min_gain = options.repair_min_gain;
-    hc.gain_ordered = options.repair_gain_ordered;
     const HillClimbResult res =
         hill_climb_from(eval, state, repair_seeds(delta, grown), hc);
     tier.moves = res.moves;

@@ -8,7 +8,9 @@
 //   Tier 1  greedy_extend   Deterministic extension of the previous
 //                           assignment: new vertices take the majority part
 //                           of their already-assigned neighbours
-//                           (most-constrained-first).  O(new * deg).
+//                           (most-constrained-first) — the greedy_incremental
+//                           kernel the streaming session also runs.
+//                           O(new * deg).
 //   Tier 2  seeded_repair   Worklist-seeded frontier hill climb starting
 //                           from the delta's repair seeds (new vertices,
 //                           rewired survivors, and their neighbours): the
@@ -49,22 +51,16 @@ struct IncrementalGaOptions {
   /// Tier 1: deterministic greedy extension (majority part).  When off, new
   /// vertices are dealt randomly to the lightest parts instead (§3.5).
   bool greedy_extend = true;
-  /// Tier 2: worklist-seeded repair of the extended assignment.
-  bool seeded_repair = true;
   /// Tier 3: DPGA refinement seeded with the repaired solution.  The
   /// expensive tier — optional for latency-bound callers.
   bool refine_with_ga = true;
 
-  /// Tier 2 budget: full-boundary verification rounds (the seeded cascade
-  /// itself is damage-proportional and not charged).
+  /// Tier 2 (always on) budget: full-boundary verification rounds (the
+  /// seeded cascade itself is damage-proportional and not charged).  The
+  /// climb runs in plain worklist order at HillClimbOptions' default
+  /// min_gain, so pipeline results stay bit-stable; the streaming service's
+  /// own repair is gain-ordered.
   int repair_max_passes = 4;
-  /// Tier 2 minimum per-move gain (must stay positive; bounds the cascade).
-  double repair_min_gain = 1e-9;
-  /// Tier 2: process likely-positive-gain worklist vertices first
-  /// (HillClimbOptions::gain_ordered).  Same fixed-point class, different
-  /// move order; off by default so existing pipeline results stay
-  /// bit-stable.  The streaming service turns it on.
-  bool repair_gain_ordered = false;
 
   IncrementalGaOptions()
       : dpga(paper_dpga_config(2, Objective::kTotalComm)) {}

@@ -184,10 +184,8 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
       cfg.max_generations = options.level_max_generations;
       cfg.stall_generations = options.level_stall;
       cfg.knux_reference.reset();
-      if (options.combine_crossover) {
-        cfg.crossover = CrossoverOp::kCombine;
-        cfg.combine = make_quotient_combine(lg, k, params, options.combine);
-      }
+      cfg.crossover = CrossoverOp::kCombine;
+      cfg.combine = make_quotient_combine(lg, k, params, options.combine);
       auto initial = make_seeded_population(
           state.assignment(), cfg.population_size, /*swap_fraction=*/0.08,
           rng);
@@ -217,8 +215,7 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
     HillClimbOptions hc;
     hc.mode = HillClimbMode::kFrontier;
     hc.max_passes = options.refine_verify_passes;
-    hc.min_gain = options.refine_min_gain;
-    hc.gain_ordered = options.refine_gain_ordered;
+    hc.gain_ordered = true;
     hc.verify_fixed_point = true;
     hc.seed_vertices = state.boundary_vertices();
     hc.cancel = options.cancel;

@@ -88,11 +88,10 @@ GaConfig::CombineFn make_quotient_combine(const Graph& g, PartId num_parts,
 struct VcycleGaOptions {
   /// Coarsening stops near num_parts * coarse_vertices_per_part vertices.
   VertexId coarse_vertices_per_part = 40;
-  /// The coarsest-level search: the paper's DPGA, verbatim.
+  /// The coarsest-level search: the paper's DPGA, verbatim.  The ascending
+  /// per-level GAs inherit dpga.ga but always cross over with the
+  /// quotient-graph combine, budgeted by `combine`.
   DpgaConfig dpga;
-  /// Use the quotient-graph combine as the crossover of the ascending
-  /// per-level GAs (false: they inherit dpga.ga.crossover, e.g. DKNUX).
-  bool combine_crossover = true;
   CombineOptions combine;
 
   /// Ascending evolution budget: levels larger than this are refine-only.
@@ -108,10 +107,9 @@ struct VcycleGaOptions {
   int level_stall = 6;
 
   /// Seeded-repair uncoarsening: budgeted verification rounds after the
-  /// projected-boundary cascade drains (hill_climb_from semantics).
+  /// projected-boundary cascade drains (hill_climb_from semantics).  The
+  /// climb is gain-ordered, at HillClimbOptions' default min_gain.
   int refine_verify_passes = 4;
-  double refine_min_gain = 1e-9;
-  bool refine_gain_ordered = true;
 
   /// Cooperative cancellation, checked between levels and threaded into the
   /// climbs: progress made so far is kept (monotone).  Non-owning.

@@ -118,6 +118,7 @@ class PartitionState {
   PartId part_of(VertexId v) const { return assign_[static_cast<std::size_t>(v)]; }
 
   double part_weight(PartId q) const { return part_weight_[static_cast<std::size_t>(q)]; }
+  std::span<const double> part_weights() const { return part_weight_; }
   double part_cut(PartId q) const { return part_cut_[static_cast<std::size_t>(q)]; }
   double sum_part_cut() const { return sum_part_cut_; }
   double max_part_cut() const;

@@ -2,10 +2,9 @@
 
 #include <algorithm>
 #include <fstream>
-#include <functional>
 #include <optional>
-#include <queue>
 
+#include "baselines/greedy_incremental.hpp"
 #include "common/assert.hpp"
 #include "common/fault_injection.hpp"
 #include "common/stats.hpp"
@@ -14,7 +13,6 @@
 #include "core/hill_climb.hpp"
 #include "core/init.hpp"
 #include "core/presets.hpp"
-#include "graph/connectivity_scratch.hpp"
 #include "graph/delta_codec.hpp"
 #include "graph/io.hpp"
 
@@ -29,24 +27,22 @@ const Graph& require_graph(const std::shared_ptr<const Graph>& g) {
 
 }  // namespace
 
-SessionConfig::SessionConfig() : deep(paper_dpga_config(2, Objective::kTotalComm)) {
+SessionConfig::SessionConfig() {
   // The deep tier runs as ONE background task next to every other session's
-  // work, so its defaults are a burst, not the paper's full table budget.
-  deep.num_islands = 4;
-  deep.parallel = true;  // island bursts ride the shared pool
-  deep.ga.population_size = 64;
-  deep.ga.max_generations = 60;
-  deep.ga.stall_generations = 15;
-  deep.ga.hill_climb_offspring = true;
-  deep.ga.hill_climb_fraction = 0.25;
+  // work, so its DPGA is a burst, not the paper's full table budget.
+  deep.dpga.num_islands = 4;
+  deep.dpga.parallel = true;  // island bursts ride the shared pool
+  deep.dpga.ga.population_size = 64;
+  deep.dpga.ga.max_generations = 60;
+  deep.dpga.ga.stall_generations = 15;
+  deep.dpga.ga.hill_climb_offspring = true;
+  deep.dpga.ga.hill_climb_fraction = 0.25;
 
-  // The V-cycle tier for big sessions: same burst discipline — the coarsest
-  // DPGA inherits the flat burst's budgets, and the ascending per-level GAs
-  // stay small (they only polish a seeded incumbent).
-  deep_vcycle.dpga = deep;
-  deep_vcycle.level_population = 24;
-  deep_vcycle.level_max_generations = 20;
-  deep_vcycle.level_stall = 5;
+  // The V-cycle's ascending per-level GAs stay small: they only polish a
+  // seeded incumbent.
+  deep.level_population = 24;
+  deep.level_max_generations = 20;
+  deep.level_stall = 5;
 }
 
 PartitionSession::PartitionSession(std::shared_ptr<const Graph> graph,
@@ -56,114 +52,10 @@ PartitionSession::PartitionSession(std::shared_ptr<const Graph> graph,
       graph_(std::move(graph)),
       state_(require_graph(graph_), std::move(initial), config_.num_parts) {
   // num_parts is validated by the PartitionState member initializer.
-  GAPART_REQUIRE(config_.repair_min_gain > 0.0,
-                 "repair_min_gain must be positive (bounds the cascade)");
   std::lock_guard<std::mutex> lock(mu_);  // publish()'s contract
   stats_.full_evaluations = 1;  // the state construction
   baseline_fitness_ = state_.fitness(config_.fitness);
   publish(origin);
-}
-
-std::vector<PartId> PartitionSession::extend_parts(const Graph& grown,
-                                                   VertexId n_old) const {
-  const VertexId n = grown.num_vertices();
-  const auto n_new = static_cast<std::size_t>(n - n_old);
-  std::vector<PartId> parts(n_new, -1);
-  if (n_new == 0) return parts;
-
-  const PartId k = config_.num_parts;
-  std::vector<double> part_weight(static_cast<std::size_t>(k));
-  for (PartId q = 0; q < k; ++q) {
-    part_weight[static_cast<std::size_t>(q)] = state_.part_weight(q);
-  }
-  const Assignment& old_assign = state_.assignment();
-  const auto part_of = [&](VertexId u) -> PartId {
-    return u < n_old ? old_assign[static_cast<std::size_t>(u)]
-                     : parts[static_cast<std::size_t>(u - n_old)];
-  };
-
-  if (!config_.greedy_extend) {
-    // Balanced extension (§3.5's random dealing, made deterministic):
-    // every new vertex to the currently lightest part, lowest id on ties.
-    for (VertexId v = n_old; v < n; ++v) {
-      PartId choice = 0;
-      for (PartId q = 1; q < k; ++q) {
-        if (part_weight[static_cast<std::size_t>(q)] <
-            part_weight[static_cast<std::size_t>(choice)]) {
-          choice = q;
-        }
-      }
-      parts[static_cast<std::size_t>(v - n_old)] = choice;
-      part_weight[static_cast<std::size_t>(choice)] += grown.vertex_weight(v);
-    }
-    return parts;
-  }
-
-  // Tier 1 of the PR 4 pipeline (greedy_incremental_assign), restated over
-  // the new range only so one delta costs O(new * deg + new log new + k),
-  // never O(V): most-constrained-first pick order via a lazy bucket queue,
-  // edge-weighted majority vote, ties to the lightest part then lowest id.
-  std::vector<std::int32_t> assigned_nbrs(n_new, 0);
-  using MinIdHeap =
-      std::priority_queue<VertexId, std::vector<VertexId>, std::greater<>>;
-  std::vector<MinIdHeap> buckets;
-  std::int32_t cur_max = 0;
-  const auto push_bucket = [&](VertexId v, std::int32_t c) {
-    if (static_cast<std::size_t>(c) >= buckets.size()) {
-      buckets.resize(static_cast<std::size_t>(c) + 1);
-    }
-    buckets[static_cast<std::size_t>(c)].push(v);
-    cur_max = std::max(cur_max, c);
-  };
-  for (VertexId v = n_old; v < n; ++v) {
-    std::int32_t c = 0;
-    for (VertexId u : grown.neighbors(v)) c += part_of(u) >= 0;
-    assigned_nbrs[static_cast<std::size_t>(v - n_old)] = c;
-    push_bucket(v, c);
-  }
-
-  ConnectivityScratch votes(static_cast<std::size_t>(k));
-  for (std::size_t remaining = n_new; remaining > 0; --remaining) {
-    VertexId v = -1;
-    while (v < 0) {
-      auto& bucket = buckets[static_cast<std::size_t>(cur_max)];
-      if (bucket.empty()) {
-        --cur_max;
-        continue;
-      }
-      const VertexId cand = bucket.top();
-      bucket.pop();
-      if (parts[static_cast<std::size_t>(cand - n_old)] < 0 &&
-          assigned_nbrs[static_cast<std::size_t>(cand - n_old)] == cur_max) {
-        v = cand;
-      }
-    }
-
-    votes.begin();
-    const auto nbrs = grown.neighbors(v);
-    const auto wgts = grown.edge_weights(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      const PartId p = part_of(nbrs[i]);
-      if (p >= 0) votes.add(p, wgts[i]);
-    }
-    PartId choice = 0;
-    for (PartId q = 1; q < k; ++q) {
-      const auto uq = static_cast<std::size_t>(q);
-      const auto uc = static_cast<std::size_t>(choice);
-      if (votes[q] > votes[choice] ||
-          (votes[q] == votes[choice] && part_weight[uq] < part_weight[uc])) {
-        choice = q;
-      }
-    }
-    parts[static_cast<std::size_t>(v - n_old)] = choice;
-    part_weight[static_cast<std::size_t>(choice)] += grown.vertex_weight(v);
-    for (const VertexId u : nbrs) {
-      if (u >= n_old && parts[static_cast<std::size_t>(u - n_old)] < 0) {
-        push_bucket(u, ++assigned_nbrs[static_cast<std::size_t>(u - n_old)]);
-      }
-    }
-  }
-  return parts;
 }
 
 RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
@@ -195,12 +87,14 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   RepairReport rep;
   rep.damage = delta.damage(g);
 
-  // Tier 1 + rebind: assign the new vertices against the pre-update state,
-  // then absorb the new graph in O(damage * deg).
+  // Tier 1 + rebind: assign the new vertices against the pre-update state
+  // (the greedy_incremental kernel, O(new * deg), never O(V)), then absorb
+  // the new graph in O(damage * deg).
   std::vector<PartId> new_parts;
   {
     GAPART_SPAN("repair.extend");
-    new_parts = extend_parts(g, n_old);
+    new_parts = greedy_incremental_extend(g, state_.assignment(),
+                                          state_.part_weights());
   }
   {
     GAPART_SPAN("repair.rebind");
@@ -212,41 +106,38 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   // Tier 2: strictly damage-proportional seeded cascade first, then
   // O(boundary) verification rounds only while the latency budget lasts —
   // deeper quality is the background refinement plane's job.
-  if (config_.seeded_repair) {
-    HillClimbOptions opt;
-    opt.fitness = config_.fitness;
-    opt.min_gain = config_.repair_min_gain;
-    opt.gain_ordered = config_.gain_ordered_repair;
-    opt.verify_fixed_point = false;
-    {
-      GAPART_SPAN("repair.cascade");
-      const auto res =
-          hill_climb_from(state_, repair_seeds(delta, *graph_), opt);
-      rep.repair_moves += res.moves;
-      rep.examined += res.examined;
-    }
+  HillClimbOptions opt;
+  opt.fitness = config_.fitness;
+  opt.gain_ordered = true;
+  opt.verify_fixed_point = false;
+  {
+    GAPART_SPAN("repair.cascade");
+    const auto res =
+        hill_climb_from(state_, repair_seeds(delta, *graph_), opt);
+    rep.repair_moves += res.moves;
+    rep.examined += res.examined;
+  }
 
-    opt.mode = HillClimbMode::kFrontier;  // unseeded: one full round + cascade
-    // Replay runs exactly the round count the live run logged (the budget
-    // clock is the one nondeterministic input to the pipeline); shedding
-    // runs none.  The moves == 0 early exit is itself deterministic, so it
-    // stays in both paths.
-    const int max_rounds =
-        opts.replay_verify_rounds >= 0
-            ? std::min(opts.replay_verify_rounds,
-                       config_.repair_max_verify_rounds)
-            : (opts.shed_verification ? 0 : config_.repair_max_verify_rounds);
-    if (max_rounds > 0) {
-      GAPART_SPAN("repair.verify");
-      while (rep.verify_rounds < max_rounds &&
-             (opts.replay_verify_rounds >= 0 ||
-              timer.seconds() < config_.repair_budget_seconds)) {
-        const auto vres = hill_climb(state_, opt);
-        ++rep.verify_rounds;
-        rep.repair_moves += vres.moves;
-        rep.examined += vres.examined;
-        if (vres.moves == 0) break;  // verified fixed point
-      }
+  opt.mode = HillClimbMode::kFrontier;  // unseeded: one full round + cascade
+  // Replay runs exactly the round count the live run logged (the budget
+  // clock is the one nondeterministic input to the pipeline); shedding runs
+  // none.  The moves == 0 early exit is itself deterministic, so it stays in
+  // both paths.
+  const int max_rounds =
+      opts.replay_verify_rounds >= 0
+          ? std::min(opts.replay_verify_rounds,
+                     config_.repair_max_verify_rounds)
+          : (opts.shed_verification ? 0 : config_.repair_max_verify_rounds);
+  if (max_rounds > 0) {
+    GAPART_SPAN("repair.verify");
+    while (rep.verify_rounds < max_rounds &&
+           (opts.replay_verify_rounds >= 0 ||
+            timer.seconds() < config_.repair_budget_seconds)) {
+      const auto vres = hill_climb(state_, opt);
+      ++rep.verify_rounds;
+      rep.repair_moves += vres.moves;
+      rep.examined += vres.examined;
+      if (vres.moves == 0) break;  // verified fixed point
     }
   }
   rep.seconds = timer.seconds();
@@ -285,16 +176,7 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
       wal_failed_ = true;
       throw;
     }
-    if (wal_->should_compact()) {
-      try {
-        wal_->compact(update_epoch_, *graph_, state_.assignment(),
-                      state_.content_hash());
-      } catch (const IoError&) {
-        // Snapshot writing failed; the log is still intact and complete, so
-        // durability is unharmed — compaction simply retries at the next
-        // trigger (counted in WalStats::compaction_failures).
-      }
-    }
+    if (wal_->should_compact()) compact_locked();
   }
 
   publish("repair");
@@ -451,6 +333,10 @@ void PartitionSession::begin_recovery(std::uint64_t snapshot_epoch) {
 void PartitionSession::force_assignment(Assignment refined,
                                         const char* source) {
   std::lock_guard<std::mutex> lock(mu_);
+  adopt_locked(std::move(refined), source);
+}
+
+void PartitionSession::adopt_locked(Assignment refined, const char* source) {
   state_ = PartitionState(*graph_, std::move(refined), config_.num_parts);
   ++stats_.full_evaluations;
   baseline_fitness_ = state_.fitness(config_.fitness);
@@ -479,11 +365,8 @@ void PartitionSession::apply_replicated_refine(Assignment refined) {
       throw;
     }
   }
-  state_ = PartitionState(*graph_, std::move(refined), config_.num_parts);
-  ++stats_.full_evaluations;
   ++stats_.refinements_applied;
-  baseline_fitness_ = state_.fitness(config_.fitness);
-  publish("replicate");
+  adopt_locked(std::move(refined), "replicate");
 }
 
 void PartitionSession::set_ship_gate(std::shared_ptr<WalShipGate> gate) {
@@ -494,23 +377,24 @@ void PartitionSession::set_ship_gate(std::shared_ptr<WalShipGate> gate) {
 bool PartitionSession::compact_now() {
   std::lock_guard<std::mutex> lock(mu_);
   if (wal_ == nullptr || wal_failed_) return false;
-  try {
-    wal_->compact(update_epoch_, *graph_, state_.assignment(),
-                  state_.content_hash());
-  } catch (const IoError&) {
-    return false;  // log intact; the next boundary retries
-  }
-  return true;
+  return compact_locked();
 }
 
 bool PartitionSession::poll_compaction() {
   std::lock_guard<std::mutex> lock(mu_);
   if (closed_ || wal_ == nullptr || wal_failed_) return false;
   if (!wal_->should_compact()) return false;
+  return compact_locked();
+}
+
+bool PartitionSession::compact_locked() {
   try {
     wal_->compact(update_epoch_, *graph_, state_.assignment(),
                   state_.content_hash());
   } catch (const IoError&) {
+    // Snapshot writing failed; the log is still intact and complete, so
+    // durability is unharmed — compaction simply retries at the next
+    // trigger (counted in WalStats::compaction_failures).
     return false;
   }
   return true;
@@ -612,8 +496,7 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
   PartitionState state = eval.make_state(job.assignment);
   HillClimbOptions opt;
   opt.mode = HillClimbMode::kFrontier;
-  opt.gain_ordered = config.gain_ordered_repair;
-  opt.min_gain = config.repair_min_gain;
+  opt.gain_ordered = true;
   opt.max_passes = config.refine_hill_climb_passes;
   opt.cancel = job.cancel.get();
   {
@@ -635,7 +518,7 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
   if (job.depth == RefineDepth::kDeep && !cancel_requested) {
     if (route_deep_vcycle(config.policy, g.num_vertices())) {
       GAPART_SPAN("refine.vcycle");
-      VcycleGaOptions vo = config.deep_vcycle;
+      VcycleGaOptions vo = config.deep;
       vo.dpga.ga.num_parts = config.num_parts;
       vo.dpga.ga.fitness = config.fitness;
       vo.cancel = job.cancel.get();
@@ -649,7 +532,7 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
       }
     } else {
       GAPART_SPAN("refine.dpga");
-      DpgaConfig dc = config.deep;
+      DpgaConfig dc = config.deep.dpga;
       dc.ga.num_parts = config.num_parts;
       dc.ga.fitness = config.fitness;
       auto initial = make_seeded_population(

@@ -6,9 +6,10 @@
 //
 //   synchronous (apply_update, caller's thread, O(damage) + budget):
 //     tier 1  greedy extension of the surviving assignment over the new
-//             vertices (most-constrained-first majority vote — the PR 4
-//             pipeline's tier 1, reimplemented against the live state so it
-//             costs O(new * deg), not O(V));
+//             vertices: the greedy_incremental kernel
+//             (baselines/greedy_incremental.hpp, most-constrained-first
+//             majority vote), fed the live state's assignment and part
+//             weights so it costs O(new * deg), not O(V);
 //     rebind  PartitionState::rebind_grown absorbs the new graph in
 //             O(damage * deg) — no O(V+E) state rebuild per delta;
 //     tier 2  worklist-seeded frontier climb from the delta's repair seeds
@@ -19,8 +20,10 @@
 //   asynchronous (plan_refinement / run_refinement / complete_refinement,
 //   service-scheduled on the shared Executor):
 //     verified frontier hill-climb rounds and, when the policy escalates,
-//     a DPGA burst seeded with the repaired solution (§3.5's incremental GA
-//     as a background job).  Refinement runs on a captured epoch snapshot;
+//     a deep tier seeded with the repaired solution: a flat DPGA burst
+//     (§3.5's incremental GA as a background job) or, for large sessions,
+//     the multilevel V-cycle — both on the one DPGA budget SessionConfig::
+//     deep.dpga.  Refinement runs on a captured epoch snapshot;
 //     publication back into the live state is epoch-checked, so a refinement
 //     raced by newer deltas is discarded, never merged wrongly.
 //
@@ -57,16 +60,10 @@ struct SessionConfig {
   PartId num_parts = 2;
   FitnessParams fitness;
 
-  /// Tier 1: extend by neighbour-majority vote (most-constrained-first).
-  /// When off, new vertices go to the lightest part (balanced extension).
-  bool greedy_extend = true;
-  /// Tier 2: seeded frontier repair of the damage.
-  bool seeded_repair = true;
-  /// Minimum per-move gain in the repair climb (must stay positive).
-  double repair_min_gain = 1e-9;
-  /// Process likely-positive-gain repair vertices first (hill_climb's
-  /// gain_ordered worklist).
-  bool gain_ordered_repair = true;
+  // Tier 1 (the greedy_incremental kernel) has no knobs; tier 2 and the
+  // light refinement climb are gain-ordered frontier climbs at
+  // HillClimbOptions' default min_gain.
+
   /// Latency budget for one apply_update call: after the damage-proportional
   /// cascade, O(boundary) verification rounds run only while the elapsed
   /// repair time stays under this budget (0 = cascade only — the strictest
@@ -81,15 +78,14 @@ struct SessionConfig {
   RefinePolicyConfig policy;
   /// kLight refinement: verified frontier hill-climb round budget.
   int refine_hill_climb_passes = 8;
-  /// kDeep refinement: DPGA burst settings.  num_parts/fitness are
-  /// overwritten with the session's; keep the budgets modest — this runs on
-  /// the shared pool next to other sessions' work.
-  DpgaConfig deep;
-  /// kDeep refinement of sessions at/above policy.vcycle_min_vertices runs
-  /// the multilevel V-cycle engine instead of the flat burst (see
-  /// route_deep_vcycle).  dpga.ga.num_parts/fitness are overwritten with the
-  /// session's; the job's cancel token is threaded in per run.
-  VcycleGaOptions deep_vcycle;
+  /// kDeep refinement.  deep.dpga is the deep tier's one DPGA budget: the
+  /// flat burst runs it on the whole graph, and sessions at/above
+  /// policy.vcycle_min_vertices run the multilevel V-cycle (the rest of
+  /// `deep`) with it on the coarsest level (see route_deep_vcycle).
+  /// dpga.ga.num_parts/fitness are overwritten with the session's and the
+  /// job's cancel token is threaded in per run; keep the budgets modest —
+  /// this runs on the shared pool next to other sessions' work.
+  VcycleGaOptions deep;
 
   SessionConfig();
 };
@@ -337,9 +333,13 @@ class PartitionSession {
       const std::string& prefix, SessionConfig config);
 
  private:
-  /// Tier 1: parts for the new vertices [old_n, |grown|), O(new * deg).
-  std::vector<PartId> extend_parts(const Graph& grown,
-                                   VertexId old_n) const;
+  /// Rebuilds the state around `refined` (one O(V + E) construction,
+  /// counted as a full evaluation), re-certifies the policy baseline and
+  /// publishes (mu_ held).
+  void adopt_locked(Assignment refined, const char* source);
+  /// Checkpoints the state and truncates the log; false when the snapshot
+  /// write failed, leaving the log intact (mu_ held, wal_ attached).
+  bool compact_locked();
   /// Publishes the current state as the newest snapshot (mu_ held).
   void publish(const char* source);
   RefineSignals signals() const;  // mu_ held
@@ -382,7 +382,8 @@ class PartitionSession {
 
 /// Executes a refinement job (outside any session lock): kLight runs
 /// verified gain-ordered frontier hill-climb rounds; kDeep additionally runs
-/// a DPGA burst seeded with the climbed solution.  Deterministic for a given
+/// the deep tier (flat DPGA burst or V-cycle) seeded with the climbed
+/// solution.  Deterministic for a given
 /// rng; `executor` (optional) parallelizes the DPGA burst.  Returns the
 /// refined assignment, its fitness, and the evaluation counts to charge.
 struct RefineOutcome {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/mesh.hpp"
 #include "graph/partition.hpp"
+#include "graph/subgraph.hpp"
 #include "test_util.hpp"
 
 namespace gapart {
@@ -274,7 +277,51 @@ Assignment reference_greedy_incremental(const Graph& grown,
   return out;
 }
 
+/// Hub-heavy growth (the skew_100k pattern): a preferential-attachment base
+/// of `n_old` vertices, then `n_new` vertices that attach mostly to each
+/// other and to the five oldest vertices, the base's hubs.
+Graph hub_growth_graph(VertexId n_old, VertexId n_new, Rng& rng) {
+  GraphBuilder b(n_old + n_new);
+  std::vector<VertexId> endpoints{0};  // degree-proportional sampling
+  for (VertexId v = 1; v < n_old; ++v) {
+    for (int e = 0; e < 3; ++e) {
+      const VertexId u = endpoints[static_cast<std::size_t>(
+          rng.uniform_int(static_cast<int>(endpoints.size())))];
+      b.add_edge(u, v);
+      endpoints.push_back(u);
+      endpoints.push_back(v);
+    }
+  }
+  for (VertexId v = n_old; v < n_old + n_new; ++v) {
+    for (int e = 0; e < 2 && v > n_old; ++e) {
+      if (rng.bernoulli(0.8)) b.add_edge(v, rng.uniform_int(n_old, v - 1));
+    }
+    if (rng.bernoulli(0.6)) b.add_edge(v, rng.uniform_int(5));
+  }
+  return b.build();
+}
+
 TEST(GreedyIncremental, BucketQueuePickMatchesReferenceGolden) {
+  // Both tier-1 callers against the reference: greedy_incremental_assign,
+  // and the kernel fed a live PartitionState of the surviving prefix — the
+  // assignment and part weights PartitionSession::apply_update passes.
+  const auto expect_matches = [](const Graph& grown, const Assignment& prev,
+                                 PartId k, const std::string& label) {
+    const Assignment expected = reference_greedy_incremental(grown, prev, k);
+    EXPECT_EQ(greedy_incremental_assign(grown, prev, k), expected) << label;
+    std::vector<VertexId> prefix(prev.size());
+    std::iota(prefix.begin(), prefix.end(), 0);
+    const Graph old_graph = induced_subgraph(grown, prefix).graph;
+    const PartitionState live(old_graph, prev, k);
+    const std::vector<PartId> new_parts = greedy_incremental_extend(
+        grown, live.assignment(), live.part_weights());
+    EXPECT_TRUE(std::equal(
+        new_parts.begin(), new_parts.end(),
+        expected.begin() + static_cast<std::ptrdiff_t>(prev.size()),
+        expected.end()))
+        << label << " (session path)";
+  };
+
   // Paper incremental workloads, several part counts.
   for (const auto& [base_n, extra] :
        {std::pair<VertexId, VertexId>{118, 41}, {183, 60}, {78, 10}}) {
@@ -284,9 +331,9 @@ TEST(GreedyIncremental, BucketQueuePickMatchesReferenceGolden) {
       Rng rng(static_cast<std::uint64_t>(base_n) * 31 +
               static_cast<std::uint64_t>(k));
       const auto prev = rgb_partition(base.graph, k, rng);
-      EXPECT_EQ(greedy_incremental_assign(grown.graph, prev, k),
-                reference_greedy_incremental(grown.graph, prev, k))
-          << "base=" << base_n << "+" << extra << " k=" << k;
+      expect_matches(grown.graph, prev, k,
+                     "base=" + std::to_string(base_n) + "+" +
+                         std::to_string(extra) + " k=" + std::to_string(k));
     }
   }
   // Fuzzed random weighted graphs with many tied most-constrained counts.
@@ -306,9 +353,54 @@ TEST(GreedyIncremental, BucketQueuePickMatchesReferenceGolden) {
     const Graph g = b.build();
     Assignment prev(static_cast<std::size_t>(n_old));
     for (auto& p : prev) p = static_cast<PartId>(rng.uniform_int(3));
-    EXPECT_EQ(greedy_incremental_assign(g, prev, 3),
-              reference_greedy_incremental(g, prev, 3))
-        << "fuzz seed " << seed;
+    expect_matches(g, prev, 3, "fuzz seed " + std::to_string(seed));
+  }
+  // Hub-heavy growth: new vertices attach to each other and to hubs.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    Rng rng(seed + 2000);
+    const VertexId n_old = 400;
+    const Graph g = hub_growth_graph(n_old, 120, rng);
+    const PartId k = 16;
+    Assignment prev(static_cast<std::size_t>(n_old));
+    for (auto& p : prev) p = static_cast<PartId>(rng.uniform_int(k));
+    expect_matches(g, prev, k, "hub growth seed " + std::to_string(seed));
+  }
+  // A large surviving graph with a small new range: one appended grid row.
+  {
+    const VertexId side = 200;
+    const Graph g = make_grid(side + 1, side);
+    const PartId k = 8;
+    Rng rng(3000);
+    Assignment prev(static_cast<std::size_t>(side * side));
+    for (std::size_t v = 0; v < prev.size(); ++v) {
+      prev[v] = rng.bernoulli(0.05)
+                    ? static_cast<PartId>(rng.uniform_int(k))
+                    : static_cast<PartId>(v * static_cast<std::size_t>(k) /
+                                          prev.size());
+    }
+    expect_matches(g, prev, k, "grid row");
+  }
+  // Integer vertex weights with fractional edge weights: vote sums that
+  // round, so a kernel summing in a different order would show.
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    Rng rng(seed + 4000);
+    const VertexId n = 80;
+    const VertexId n_old = 40;
+    GraphBuilder b(n);
+    for (VertexId v = 0; v < n; ++v) {
+      b.set_vertex_weight(v, 1.0 + rng.uniform_int(5));
+    }
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = u + 1; v < n; ++v) {
+        if (rng.bernoulli(0.1)) {
+          b.add_edge(u, v, 0.1 * (1 + rng.uniform_int(30)));
+        }
+      }
+    }
+    const Graph g = b.build();
+    Assignment prev(static_cast<std::size_t>(n_old));
+    for (auto& p : prev) p = static_cast<PartId>(rng.uniform_int(4));
+    expect_matches(g, prev, 4, "fractional seed " + std::to_string(seed));
   }
 }
 

@@ -333,8 +333,7 @@ TEST(PartitionSession, RefinementIndependentOfPoolWidth) {
   const PartId k = 4;
   auto g = shared_grid(16, 16);
   SessionConfig cfg = basic_config(k);
-  cfg.deep.ga.max_generations = 20;
-  cfg.deep_vcycle.dpga = cfg.deep;
+  cfg.deep.dpga.ga.max_generations = 20;
 
   Rng rng(0x5eed);
   PartitionSession::RefineJob job;

@@ -327,7 +327,7 @@ TEST(VcycleService, RunRefinementRoutesDeepThroughVcycle) {
   SessionConfig config;
   config.num_parts = k;
   config.policy.vcycle_min_vertices = 1;  // route every kDeep to the V-cycle
-  config.deep_vcycle = small_vcycle(k);
+  config.deep = small_vcycle(k);
 
   PartitionSession::RefineJob job;
   job.depth = RefineDepth::kDeep;
