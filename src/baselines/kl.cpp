@@ -42,11 +42,9 @@ Move best_move(const PartitionState& state, const std::vector<char>& locked,
 
 }  // namespace
 
-namespace {
-
-KlResult kl_refine_impl(PartitionState& state, const FitnessParams& params,
-                        const KlOptions& options) {
+KlResult kl_refine(PartitionState& state, const KlOptions& options) {
   GAPART_REQUIRE(options.max_passes >= 1, "need at least one pass");
+  const FitnessParams& params = options.fitness;
   const Graph& g = state.graph();
   KlResult result;
 
@@ -92,19 +90,6 @@ KlResult kl_refine_impl(PartitionState& state, const FitnessParams& params,
     result.fitness_gain += best_cumulative;
     if (best_prefix == 0) break;  // pass produced nothing; converged
   }
-  return result;
-}
-
-}  // namespace
-
-KlResult kl_refine(PartitionState& state, const KlOptions& options) {
-  return kl_refine_impl(state, options.fitness, options);
-}
-
-KlResult kl_refine(const EvalContext& eval, PartitionState& state,
-                   const KlOptions& options) {
-  const KlResult result = kl_refine_impl(state, eval.params(), options);
-  eval.count_delta(result.moves_applied);
   return result;
 }
 

@@ -9,7 +9,6 @@
 // prefix — letting it escape shallow local optima.
 #pragma once
 
-#include "core/eval.hpp"
 #include "graph/partition.hpp"
 
 namespace gapart {
@@ -30,11 +29,5 @@ struct KlResult {
 /// Refines `state` in place.  Never worsens fitness (a pass with no positive
 /// prefix is fully rolled back).
 KlResult kl_refine(PartitionState& state, const KlOptions& options = {});
-
-/// EvalContext-aware refinement: gains are measured under eval.params()
-/// (overriding options.fitness) and every move kept after rollback is
-/// accounted as one delta evaluation.
-KlResult kl_refine(const EvalContext& eval, PartitionState& state,
-                   const KlOptions& options = {});
 
 }  // namespace gapart

@@ -17,10 +17,8 @@ namespace gapart {
 struct BackoffPolicy {
   /// Total attempts (first try + retries).  Must be >= 1.
   int max_attempts = 8;
-  /// Sleep before the first retry, in seconds.
+  /// Sleep before the first retry, in seconds; it doubles after every retry.
   double initial_seconds = 1e-4;
-  /// Multiplier applied to the sleep after every retry.
-  double multiplier = 2.0;
   /// Sleep cap in seconds.
   double max_seconds = 0.05;
 };
@@ -46,7 +44,7 @@ int retry_with_backoff(const BackoffPolicy& policy, Fn&& fn,
       if (attempt >= policy.max_attempts) throw;
     }
     sleeper(delay);
-    delay = delay * policy.multiplier;
+    delay = delay * 2.0;
     if (delay > policy.max_seconds) delay = policy.max_seconds;
   }
 }

@@ -128,8 +128,7 @@ void GaEngine::finish_child(std::vector<Individual>& batch, std::size_t index,
     // the mutation flips as move deltas — no O(V+E) pass at all when the
     // flip count stays under budget.
     const auto n = static_cast<double>(eval_.graph().num_vertices());
-    const auto max_flips = static_cast<std::int64_t>(
-        config_.delta_eval_max_flip_fraction * n);
+    const auto max_flips = static_cast<std::int64_t>(0.1 * n);
     ind.metrics =
         population_[static_cast<std::size_t>(clone_parent)].metrics;
     ind.fitness = eval_.mutate_clone_and_evaluate(

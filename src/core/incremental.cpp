@@ -110,14 +110,4 @@ IncrementalResult incremental_repartition(const Graph& grown,
   return out;
 }
 
-IncrementalResult incremental_repartition(const Graph& grown,
-                                          const Assignment& previous,
-                                          const IncrementalGaOptions& options,
-                                          Rng& rng, Executor* executor) {
-  return incremental_repartition(
-      grown, previous,
-      appended_delta(grown, static_cast<VertexId>(previous.size())), options,
-      rng, executor);
-}
-
 }  // namespace gapart

@@ -104,12 +104,4 @@ IncrementalResult incremental_repartition(const Graph& grown,
                                           Rng& rng,
                                           Executor* executor = nullptr);
 
-/// Convenience overload for pure growth: derives the delta with
-/// appended_delta(grown, |previous|).
-IncrementalResult incremental_repartition(const Graph& grown,
-                                          const Assignment& previous,
-                                          const IncrementalGaOptions& options,
-                                          Rng& rng,
-                                          Executor* executor = nullptr);
-
 }  // namespace gapart

@@ -135,6 +135,10 @@ GaConfig::CombineFn make_quotient_combine(const Graph& g, PartId num_parts,
 
 namespace {
 
+/// Adaptive depth: the upward sweep stops evolving once a level's relative
+/// fitness improvement (|gain| / |fitness|) drops below this.
+constexpr double kStagnationImprovement = 1e-4;
+
 /// Moves `state` onto `target` through the delta path (keeps every
 /// maintained metric consistent; O(diff * deg)).
 void adopt_assignment(PartitionState& state, const Assignment& target) {
@@ -202,8 +206,7 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
                                             report.fitness_before);
       const double rel =
           gain / std::max(1e-12, std::abs(report.fitness_before));
-      if (options.stagnation_improvement > 0.0 &&
-          rel < options.stagnation_improvement) {
+      if (rel < kStagnationImprovement) {
         evolve_more = false;
         result.adaptive_stop = true;
       }
@@ -217,9 +220,9 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
     hc.max_passes = options.refine_verify_passes;
     hc.gain_ordered = true;
     hc.verify_fixed_point = true;
-    hc.seed_vertices = state.boundary_vertices();
     hc.cancel = options.cancel;
-    const HillClimbResult climb = hill_climb(eval, state, hc);
+    const HillClimbResult climb =
+        hill_climb_from(eval, state, state.boundary_vertices(), hc);
     report.climb_moves = climb.moves;
     report.fitness_after = state.fitness(params);
     result.full_evaluations += eval.full_evaluations();

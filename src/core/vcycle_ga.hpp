@@ -23,8 +23,8 @@
 //
 // Evolution depth is adaptive (Preen & Smith's multilevel GA observation):
 // ascending GAs stop as soon as a level's relative improvement falls below
-// `stagnation_improvement` — coarse levels are where recombination pays;
-// fine levels are refinement territory.
+// 1e-4 — coarse levels are where recombination pays; fine levels are
+// refinement territory.
 //
 // vcycle_ga_refine is the incremental entry point: the hierarchy is built
 // with partition-RESPECTING matching (only same-part vertices merge), so a
@@ -96,10 +96,6 @@ struct VcycleGaOptions {
 
   /// Ascending evolution budget: levels larger than this are refine-only.
   VertexId max_evolve_vertices = 16384;
-  /// Adaptive depth: stop evolving on the way up once a level's relative
-  /// fitness improvement (|gain| / |fitness|) drops below this.  <= 0 keeps
-  /// evolving every level under max_evolve_vertices.
-  double stagnation_improvement = 1e-4;
   /// Per-level GA budget (population is per level, not the paper's 320 —
   /// these runs are seeded with the incumbent and only polish it).
   int level_population = 32;

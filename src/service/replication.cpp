@@ -10,7 +10,6 @@
 
 #include "common/assert.hpp"
 #include "common/checksum.hpp"
-#include "common/stats.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
 #include "graph/io.hpp"
@@ -25,8 +24,8 @@ constexpr std::uint32_t kRepMagic = 0x50524147u;  // "GARP"
 constexpr std::size_t kRepHeaderSize = 4 + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4 + 4;
 // CRC covers header bytes [4, kRepCrcOffset) chained with the payload.
 constexpr std::size_t kRepCrcOffset = kRepHeaderSize - 4;
-
-constexpr std::size_t kLagWindow = 4096;
+/// Cap on log bytes read per session per pump (keeps one pump bounded).
+constexpr std::uint64_t kMaxReadBytesPerPump = 4ull << 20;
 
 void put_u32(std::string& out, std::uint32_t v) {
   char buf[4];
@@ -288,8 +287,8 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
   if (wal.durable_bytes <= ship.file_offset) return;
   // Never past the leader's fsynced offset: a follower must not hold an
   // update the leader could still lose.
-  const std::uint64_t limit = std::min(
-      wal.durable_bytes, ship.file_offset + config_.max_read_bytes_per_pump);
+  const std::uint64_t limit =
+      std::min(wal.durable_bytes, ship.file_offset + kMaxReadBytesPerPump);
   const std::string path = service_.session_wal_dir(id) + "/wal.log";
   const WalTail tail = read_log_tail(path, ship.file_offset, limit);
   for (std::size_t i = 0; i < tail.records.size(); ++i) {
@@ -387,9 +386,12 @@ int ReplicationShipper::pump() {
   for (const SessionId id : service_.session_ids()) {
     SessionShip& ship = ships_[id];
     SessionStats st;
+    std::uint64_t leader_epoch = 0;
     try {
-      st = service_.session_handle(id)->stats();
+      const auto session = service_.session_handle(id);
+      st = session->stats();
       if (!st.durable) continue;
+      leader_epoch = session->snapshot()->update_epoch;
       if (!ship.attached || ship.needs_resync) resync(id, ship);
       observe_compaction(id, ship, st.wal);
       read_tail(id, ship, st.wal);
@@ -399,7 +401,7 @@ int ReplicationShipper::pump() {
       // forever.  This pump just consumed the tail, so run anything the
       // gate deferred; observe_compaction ships the boundary next pump.
       if (ship.attached && ship.file_offset >= st.wal.durable_bytes) {
-        service_.session_handle(id)->poll_compaction();
+        session->poll_compaction();
       }
     } catch (const Error&) {
       continue;  // the session closed under us; next pump drops it
@@ -424,14 +426,11 @@ int ReplicationShipper::pump() {
 
     sent += send_pending(ship);
 
+    // Epochs are absolute across leader restarts; SessionStats::updates
+    // counts only this incarnation's deltas, so it cannot stand in here.
     const std::uint64_t lag =
-        st.updates >= ship.acked_epoch ? st.updates - ship.acked_epoch : 0;
-    if (lag_samples_.size() < kLagWindow) {
-      lag_samples_.push_back(static_cast<double>(lag));
-    } else {
-      lag_samples_[lag_next_] = static_cast<double>(lag);
-      lag_next_ = (lag_next_ + 1) % kLagWindow;
-    }
+        leader_epoch >= ship.acked_epoch ? leader_epoch - ship.acked_epoch : 0;
+    lag_epochs_.record(static_cast<double>(lag));
   }
   return sent;
 }
@@ -480,8 +479,8 @@ ShipperStats ReplicationShipper::stats() const {
     if (ship.attached) ++out.sessions_attached;
     out.frames_unacked += ship.queue.size();
   }
-  out.lag_epochs_p50 = quantile(lag_samples_, 0.50);
-  out.lag_epochs_p99 = quantile(lag_samples_, 0.99);
+  out.lag_epochs_p50 = lag_epochs_.quantile(0.50);
+  out.lag_epochs_p99 = lag_epochs_.quantile(0.99);
   return out;
 }
 

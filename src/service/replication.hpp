@@ -58,6 +58,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/telemetry.hpp"
 #include "service/service.hpp"
 #include "service/transport.hpp"
 
@@ -133,8 +134,6 @@ struct ShipperConfig {
   /// Pumps without ack progress (while frames are outstanding) before the
   /// shipper re-sends everything unacked from the acked offset.
   int resume_after_stalled_pumps = 3;
-  /// Cap on log bytes read per session per pump (keeps one pump bounded).
-  std::uint64_t max_read_bytes_per_pump = 4ull << 20;
 };
 
 struct ShipperStats {
@@ -153,8 +152,9 @@ struct ShipperStats {
   /// A follower acked with a higher generation: this leader was deposed and
   /// has stopped shipping (its WAL keeps growing locally; operator decides).
   bool deposed = false;
-  /// Replication lag in epochs (leader epoch - acked epoch), sampled once
-  /// per session per pump over a sliding window.
+  /// Replication lag in epochs (the session's update epoch minus the epoch
+  /// the follower acked), sampled once per session per pump over the
+  /// shipper's lifetime; bucketed percentiles (LogHistogram, <= 12.5%).
   double lag_epochs_p50 = 0.0;
   double lag_epochs_p99 = 0.0;
 };
@@ -240,8 +240,7 @@ class ReplicationShipper {
   mutable std::mutex mu_;
   std::unordered_map<SessionId, SessionShip> ships_;
   ShipperStats stats_;
-  std::vector<double> lag_samples_;
-  std::size_t lag_next_ = 0;
+  LogHistogram lag_epochs_;
 
   std::thread thread_;
   std::atomic<bool> running_{false};

@@ -207,15 +207,6 @@ RepairReport PartitionService::submit_update(
   return report;
 }
 
-std::optional<RepairReport> PartitionService::try_submit_update(
-    SessionId id, std::shared_ptr<const Graph> grown, const GraphDelta& delta) {
-  try {
-    return submit_update(id, std::move(grown), delta);
-  } catch (const OverloadError&) {
-    return std::nullopt;
-  }
-}
-
 void PartitionService::maybe_schedule_refinement(
     SessionId id, const std::shared_ptr<PartitionSession>& session) {
   if (!config_.background_refinement) return;

@@ -21,7 +21,6 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -148,7 +147,7 @@ class PartitionService {
 
   /// Closes a session: refuses further updates, cancels and drains any
   /// in-flight refinement (cooperative — the job unwinds at its next pass
-  /// boundary), syncs its WAL, and drops it from the table.
+  /// boundary), and drops it from the table.
   void close_session(SessionId id);
 
   /// Streams one delta into a session: synchronous tiered repair on the
@@ -156,17 +155,11 @@ class PartitionService {
   /// refinement on the shared pool.
   ///
   /// When a WAL is attached (durable service), the report is returned only
-  /// after the delta's record is on the log per the fsync policy: ack
-  /// implies durable.  Under overload the call may shed verification rounds
-  /// or throw OverloadError (nothing applied; back off and retry).
+  /// after the delta's record is on the log and fsynced: ack implies
+  /// durable.  Under overload the call may shed verification rounds or throw
+  /// OverloadError (nothing applied; back off and retry).
   RepairReport submit_update(SessionId id, std::shared_ptr<const Graph> grown,
                              const GraphDelta& delta);
-
-  /// submit_update for clients that treat backpressure as data, not control
-  /// flow: nullopt instead of OverloadError.  Other errors still throw.
-  std::optional<RepairReport> try_submit_update(
-      SessionId id, std::shared_ptr<const Graph> grown,
-      const GraphDelta& delta);
 
   /// Latest snapshot of one session: a shared_ptr copy under two short
   /// locks (the session table's, then the session's snapshot mutex).

@@ -195,13 +195,6 @@ void PartitionSession::publish(const char* source) {
   snap->max_part_cut = state_.max_part_cut();
   snap->imbalance_sq = state_.imbalance_sq();
   stats_.version = snap->version;
-  if (cut_trajectory_.size() < SessionStats::kMaxHistory) {
-    cut_trajectory_.emplace_back(update_epoch_, snap->total_cut);
-  } else {  // sliding window: overwrite the oldest entry
-    cut_trajectory_[cut_trajectory_next_] = {update_epoch_, snap->total_cut};
-    cut_trajectory_next_ =
-        (cut_trajectory_next_ + 1) % SessionStats::kMaxHistory;
-  }
   std::lock_guard<std::mutex> lock(snap_mu_);
   snapshot_ = std::move(snap);
 }
@@ -407,14 +400,6 @@ void PartitionSession::close() {
   // Drain: the in-flight job sees the cancel flag at its next pass boundary,
   // unwinds through complete/abandon_refinement, and signals here.
   refine_done_cv_.wait(lock, [&] { return !refine_in_flight_; });
-  if (wal_ != nullptr && !wal_failed_) {
-    try {
-      wal_->sync();
-    } catch (const IoError&) {
-      // Teardown best-effort: under kEveryRecord nothing was unsynced
-      // anyway, and a close() must not throw past its drain.
-    }
-  }
 }
 
 bool PartitionSession::closed() const {
@@ -428,18 +413,6 @@ SessionStats PartitionSession::stats() const {
   out.p50_repair_seconds = out.repair_latency.quantile(0.50);
   out.p99_repair_seconds = out.repair_latency.quantile(0.99);
   out.max_repair_seconds = out.repair_latency.max();
-  // Unroll the trajectory ring into chronological order.
-  out.cut_trajectory.clear();
-  out.cut_trajectory.reserve(cut_trajectory_.size());
-  out.cut_trajectory.insert(
-      out.cut_trajectory.end(),
-      cut_trajectory_.begin() +
-          static_cast<std::ptrdiff_t>(cut_trajectory_next_),
-      cut_trajectory_.end());
-  out.cut_trajectory.insert(
-      out.cut_trajectory.end(), cut_trajectory_.begin(),
-      cut_trajectory_.begin() +
-          static_cast<std::ptrdiff_t>(cut_trajectory_next_));
   out.current_fitness = state_.fitness(config_.fitness);
   out.current_total_cut = state_.total_cut();
   out.durable = wal_ != nullptr;

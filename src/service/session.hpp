@@ -41,7 +41,6 @@
 #include <optional>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "common/executor.hpp"
 #include "common/rng.hpp"
@@ -170,9 +169,6 @@ struct SessionStats {
   LogHistogram repair_latency;
   double current_fitness = 0.0;
   double current_total_cut = 0.0;
-  /// (update_epoch, total_cut) at the last kMaxHistory publishes — the
-  /// recent cut trajectory.
-  std::vector<std::pair<std::uint64_t, double>> cut_trajectory;
 
   /// Durability (zeros when the session runs without a WAL).
   bool durable = false;
@@ -181,11 +177,6 @@ struct SessionStats {
   /// log never diverges from the acknowledged history.
   bool wal_failed = false;
   WalStats wal;
-
-  /// History cap: the cut trajectory is a sliding window of this many
-  /// entries.  (Latency percentiles moved to the fixed-size histogram above,
-  /// so they cover the session lifetime at bounded memory.)
-  static constexpr std::size_t kMaxHistory = 4096;
 };
 
 class PartitionSession {
@@ -207,9 +198,9 @@ class PartitionSession {
   /// snapshot() and the refinement plane; concurrent apply_update calls on
   /// ONE session serialize on the session lock.
   ///
-  /// When a WAL is attached, the delta is appended (and fsynced per the
-  /// durability config) before this call returns — the returned report IS
-  /// the acknowledgement, so ack implies durable.  An append that exhausts
+  /// When a WAL is attached, the delta is appended and fsynced before this
+  /// call returns — the returned report IS the acknowledgement, so ack
+  /// implies durable.  An append that exhausts
   /// its retries throws IoError and fail-stops the session (wal_failed).
   RepairReport apply_update(std::shared_ptr<const Graph> grown,
                             const GraphDelta& delta,
@@ -310,8 +301,9 @@ class PartitionSession {
 
   /// Drains the session for teardown: marks it closed (further updates and
   /// refinement plans are refused), signals an in-flight refinement to
-  /// cancel, waits until it has unwound, and syncs the WAL.  Idempotent;
-  /// safe to call while a refinement is mid-run on the pool.
+  /// cancel, and waits until it has unwound.  Every WAL append was already
+  /// fsynced, so there is nothing left to flush.  Idempotent; safe to call
+  /// while a refinement is mid-run on the pool.
   void close();
   bool closed() const;
 
@@ -370,11 +362,8 @@ class PartitionSession {
 
   // Statistics.  Repair latencies accumulate into a fixed-size log-bucketed
   // histogram (stats_.repair_latency — bounded memory over an unbounded
-  // stream, O(buckets) to scrape); cut_trajectory_ is a ring of the last
-  // kMaxHistory entries (stats() unrolls it chronologically).
+  // stream, O(buckets) to scrape).
   SessionStats stats_;
-  std::vector<std::pair<std::uint64_t, double>> cut_trajectory_;
-  std::size_t cut_trajectory_next_ = 0;
 
   mutable std::mutex snap_mu_;  ///< guards snapshot_ only (reader-facing)
   std::shared_ptr<const SessionSnapshot> snapshot_;

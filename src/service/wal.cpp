@@ -185,18 +185,6 @@ std::string snap_part_path(const std::string& dir, std::uint64_t epoch) {
 
 }  // namespace
 
-const char* fsync_policy_name(FsyncPolicy p) {
-  switch (p) {
-    case FsyncPolicy::kNever:
-      return "never";
-    case FsyncPolicy::kEveryRecord:
-      return "every_record";
-    case FsyncPolicy::kEveryN:
-      return "every_n";
-  }
-  return "?";
-}
-
 WalReadResult read_log_file(const std::string& path) {
   WalReadResult out;
   std::error_code ec;
@@ -295,20 +283,7 @@ SessionWal::SessionWal(std::string dir, DurabilityConfig config)
     : dir_(std::move(dir)), config_(std::move(config)) {}
 
 SessionWal::~SessionWal() {
-  if (fd_ >= 0) {
-    // Flush-on-close: under kEveryN (or kNever) a clean shutdown must not
-    // leave acknowledged tail records behind the durable offset the
-    // replication shipper trusts.  Best effort only — a destructor cannot
-    // throw, and a crash-path destructor never runs at all (that loss window
-    // is the policy's documented contract).
-    if (records_since_fsync_ > 0) {
-      try {
-        fsync_log();
-      } catch (...) {
-      }
-    }
-    ::close(fd_);
-  }
+  if (fd_ >= 0) ::close(fd_);
 }
 
 void SessionWal::open_log(std::uint64_t resume_at, bool truncate_all) {
@@ -329,9 +304,8 @@ void SessionWal::open_log(std::uint64_t resume_at, bool truncate_all) {
     append_frame_once(header);
     posix_fsync_fd(fd_, "log header");
   }
-  file_bytes_ = keep == 0 ? kFileHeaderSize : keep;
   // Whatever the file holds now *is* what survived — by definition durable.
-  stats_.durable_bytes = file_bytes_;
+  stats_.durable_bytes = keep == 0 ? kFileHeaderSize : keep;
 }
 
 void SessionWal::append_frame_once(const std::string& frame) {
@@ -359,27 +333,45 @@ void SessionWal::fsync_log() {
   GAPART_SPAN("wal.fsync");
   posix_fsync_fd(fd_, "wal");
   ++stats_.fsyncs;
-  records_since_fsync_ = 0;
-  stats_.durable_bytes = file_bytes_;
+}
+
+void SessionWal::roll_back_to_durable() {
+  try {
+    retry_with_backoff(config_.io_retry, [&] {
+      if (::ftruncate(fd_, static_cast<off_t>(stats_.durable_bytes)) != 0) {
+        throw IoError(std::string("WAL rollback truncate failed: ") +
+                      std::strerror(errno));
+      }
+      posix_fsync_fd(fd_, "wal rollback");
+    });
+  } catch (const IoError&) {
+    broken_ = true;
+  }
 }
 
 void SessionWal::append(WalRecordType type, std::uint64_t epoch,
                         std::uint32_t flags, const std::string& payload,
                         VertexId damage) {
   GAPART_SPAN("wal.append");
+  if (broken_) {
+    throw IoError("WAL '" + dir_ + "/wal.log' refuses appends: an earlier " +
+                  "failed append could not be rolled back");
+  }
   const std::string frame = build_frame(type, epoch, flags, payload);
-  stats_.append_retries += static_cast<std::uint64_t>(retry_with_backoff(
-      config_.io_retry, [&] { append_frame_once(frame); }));
-  file_bytes_ += frame.size();
-  ++records_since_fsync_;
-  const bool want_fsync =
-      config_.fsync == FsyncPolicy::kEveryRecord ||
-      (config_.fsync == FsyncPolicy::kEveryN && config_.fsync_interval > 0 &&
-       records_since_fsync_ >= config_.fsync_interval);
-  if (want_fsync) {
+  try {
+    stats_.append_retries += static_cast<std::uint64_t>(retry_with_backoff(
+        config_.io_retry, [&] { append_frame_once(frame); }));
     stats_.append_retries += static_cast<std::uint64_t>(
         retry_with_backoff(config_.io_retry, [&] { fsync_log(); }));
+  } catch (const IoError&) {
+    // Everything before this frame is durable (every append is fsynced), so
+    // cutting the log back to durable_bytes removes exactly the frame the
+    // caller is about to be told failed.  Left in place, the next
+    // successful fsync would make it durable and replay would apply it.
+    roll_back_to_durable();
+    throw;
   }
+  stats_.durable_bytes += frame.size();
   ++stats_.appends;
   stats_.bytes_appended += frame.size();
   GAPART_COUNTER_ADD("wal.append_bytes", frame.size());
@@ -445,8 +437,6 @@ void SessionWal::compact(std::uint64_t epoch, const Graph& graph,
   stats_.log_records = 0;
   stats_.log_bytes = 0;
   stats_.log_damage = 0;
-  records_since_fsync_ = 0;
-  file_bytes_ = kFileHeaderSize;
   stats_.durable_bytes = kFileHeaderSize;
   ++stats_.compactions;
   stats_.last_compaction_seconds = timer.seconds();
@@ -456,12 +446,6 @@ void SessionWal::compact(std::uint64_t epoch, const Graph& graph,
     std::error_code ec;
     fs::remove(snap_graph_path(dir_, old_epoch), ec);
     fs::remove(snap_part_path(dir_, old_epoch), ec);
-  }
-}
-
-void SessionWal::sync() {
-  if (records_since_fsync_ > 0) {
-    retry_with_backoff(config_.io_retry, [&] { fsync_log(); });
   }
 }
 

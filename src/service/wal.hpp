@@ -4,8 +4,9 @@
 // Every accepted GraphDelta is serialized (graph/delta_codec: O(damage)
 // bytes) and appended as one framed record — with the number of verification
 // rounds the repair actually admitted, so replay re-runs the *same*
-// deterministic pipeline the live session ran, wall clock removed — before
-// the synchronous repair acknowledges to the client.  Adopted background
+// deterministic pipeline the live session ran, wall clock removed — and
+// fsynced before the synchronous repair acknowledges to the client: ack
+// implies durable, and there is no other durability mode.  Adopted background
 // refinements are logged too (full assignment; they are rare and already
 // O(V + E) in compute).  When the damage accumulated in the log crosses the
 // compaction policy's threshold, the session state is checkpointed through
@@ -30,6 +31,12 @@
 // past it.  A torn final record (the crash hit mid-append) is detected by
 // its CRC frame and dropped; a bad CRC *followed by valid records* is real
 // corruption and surfaces as WalCorruptError — recovery never guesses.
+//
+// Because every append is fsynced, everything in the log before an append
+// is durable.  An append that fails (write or fsync retries exhausted)
+// therefore truncates the log back to that durable end and fsyncs again, so
+// no record the caller saw fail can reach a follower or a later recovery.
+// When even that rollback fails the WAL refuses every later append.
 //
 // Thread-safety: none.  A SessionWal belongs to one PartitionSession and
 // every call is made under that session's lock (append/compaction order must
@@ -58,21 +65,9 @@ class WalCorruptError : public IoError {
   explicit WalCorruptError(const std::string& what) : IoError(what) {}
 };
 
-/// When acknowledged updates become durable.
-enum class FsyncPolicy {
-  kNever,        ///< Leave it to the OS page cache (ack != durable).
-  kEveryRecord,  ///< fsync before every acknowledgement (ack == durable).
-  kEveryN,       ///< fsync every fsync_interval records (bounded loss window).
-};
-
-const char* fsync_policy_name(FsyncPolicy p);
-
 struct DurabilityConfig {
   /// Root directory for session subdirectories; empty disables durability.
   std::string dir;
-  FsyncPolicy fsync = FsyncPolicy::kEveryRecord;
-  /// FsyncPolicy::kEveryN: records between fsyncs.
-  int fsync_interval = 32;
   /// When to fold the log into a fresh snapshot (refine_policy).
   CompactionPolicy compaction;
   /// Retry schedule for transient log I/O failures.
@@ -174,7 +169,8 @@ struct WalStats {
   std::int64_t log_damage = 0;
   /// Absolute wal.log offset through which records are fsynced.  The
   /// replication shipper caps its tail reads here: a follower must never
-  /// hold records the leader could still lose.
+  /// hold records the leader could still lose (a frame between its write()
+  /// and its fsync, or one whose fsync failed and is being rolled back).
   std::uint64_t durable_bytes = 0;
 };
 
@@ -215,10 +211,12 @@ class SessionWal {
   SessionWal(const SessionWal&) = delete;
   SessionWal& operator=(const SessionWal&) = delete;
 
-  /// Appends one record (with retry/backoff on transient I/O errors) and
-  /// applies the fsync policy.  `damage` feeds the compaction accumulator.
-  /// Throws IoError once retries are exhausted — the caller must then treat
-  /// the session's log as broken (fail-stop) or surface the error.
+  /// Appends one record and fsyncs it (each with retry/backoff on transient
+  /// I/O errors); on return the record is durable.  `damage` feeds the
+  /// compaction accumulator.  Throws IoError once retries are exhausted,
+  /// after rolling the log back to its last durable record — the log then
+  /// holds exactly what it held before the call.  If the rollback fails
+  /// too, this and every later append throw IoError.
   void append(WalRecordType type, std::uint64_t epoch, std::uint32_t flags,
               const std::string& payload, VertexId damage);
 
@@ -233,9 +231,6 @@ class SessionWal {
   /// at this snapshot boundary.
   void compact(std::uint64_t epoch, const Graph& graph,
                const Assignment& assignment, std::uint64_t digest = 0);
-
-  /// Forces an fsync of any unsynced appends (used at close).
-  void sync();
 
   /// Attaches the compaction/shipping gate for a replicated session (see
   /// WalShipGate).  Pass nullptr to detach.
@@ -252,6 +247,7 @@ class SessionWal {
   void open_log(std::uint64_t resume_at, bool truncate_all);
   void append_frame_once(const std::string& frame);
   void fsync_log();
+  void roll_back_to_durable();
   void write_snapshot_files(std::uint64_t epoch, const Graph& graph,
                             const Assignment& assignment,
                             std::uint64_t digest);
@@ -259,8 +255,9 @@ class SessionWal {
   std::string dir_;
   DurabilityConfig config_;
   int fd_ = -1;
-  int records_since_fsync_ = 0;
-  std::uint64_t file_bytes_ = 0;  ///< current wal.log size (header + frames)
+  /// A failed append could not be rolled back: the file may hold a frame
+  /// past durable_bytes, so no later append may land behind it.
+  bool broken_ = false;
   std::shared_ptr<WalShipGate> ship_gate_;
   WalStats stats_;
 };

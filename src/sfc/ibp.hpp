@@ -1,9 +1,10 @@
 // Index-Based Partitioning (paper appendix; Ou, Ranka & Fox 1993).
 //
-// Three phases: (1) indexing — every vertex's coordinates are quantized and
-// converted to a one-dimensional index that preserves spatial proximity;
-// (2) sorting — vertices are ordered by index; (3) coloring — the sorted
-// list is cut into num_parts equal-weight sublists.  Fast and balanced;
+// Three phases: (1) indexing — every vertex's coordinates are quantized to
+// a 2^10 x 2^10 grid and the cell converted to a one-dimensional index that
+// preserves spatial proximity; (2) sorting — vertices are ordered by index;
+// (3) coloring — the sorted list is cut into num_parts equal-weight
+// sublists.  Fast and balanced;
 // the paper uses it to seed the GA's initial population (§3.5, Table 1).
 #pragma once
 
@@ -25,7 +26,6 @@ IndexScheme parse_index_scheme(const std::string& name);
 
 struct IbpOptions {
   IndexScheme scheme = IndexScheme::kShuffledRowMajor;
-  int quantization_bits = 10;  ///< grid resolution per axis (2^bits cells)
 };
 
 /// Partitions `g` (which must carry coordinates) into num_parts parts of

@@ -493,6 +493,68 @@ TEST(Durability, FailStopAfterExhaustedAppendRetries) {
   EXPECT_THROW(service.submit_update(id, grown, delta), Error);
 }
 
+TEST(Durability, FailedRefinementAppendLeavesNoRecordToReplay) {
+  // Regression: an append whose fsync exhausted its retries used to leave
+  // its frame in wal.log.  complete_refinement dropped the refinement
+  // (refinements_unlogged), the next delta's fsync made the orphaned frame
+  // durable, and recovery replayed a refinement the live session never
+  // adopted — a different partition than the one acknowledged.
+  const PartId k = 4;
+  const std::string dir = fresh_dir("unlogged_refine");
+  ServiceConfig sc = durable_config(dir);
+  sc.durability.io_retry.max_attempts = 1;  // the first fsync fault is final
+  SessionConfig cfg = session_config(k);
+  cfg.repair_budget_seconds = 0.0;  // cascade only: quality left for refine
+  cfg.policy.damage_threshold = 1;  // plan a refinement right away
+  cfg.policy.staleness_updates = 0;
+  cfg.policy.quality_watermark = 0.0;
+
+  Rng rng(0x0b5e);
+  Assignment scrambled(400);
+  for (auto& p : scrambled) p = static_cast<PartId>(rng.uniform_int(k));
+
+  SessionSnapshot live;
+  std::uint64_t live_digest = 0;
+  {
+    PartitionService service(sc);
+    auto g = shared_grid(20, 20);
+    const SessionId id = service.open_session(g, scrambled, cfg);
+    auto grown = shared_grid(21, 20);
+    service.submit_update(id, grown, diff_graphs(*g, *grown));
+
+    const auto session = service.session_handle(id);
+    const auto job = session->plan_refinement();
+    ASSERT_TRUE(job.has_value());
+    const RefineOutcome out = run_refinement(*job, cfg, Rng(1), nullptr);
+    ASSERT_GT(out.fitness, job->fitness) << "the refinement must want in";
+    {
+      ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/1);
+      EXPECT_FALSE(session->complete_refinement(
+          *job, out.assignment, out.fitness, out.full_evaluations,
+          out.delta_evaluations));
+    }
+    SessionStats st = service.session_stats(id);
+    EXPECT_EQ(st.refinements_unlogged, 1);
+    EXPECT_EQ(st.refinements_applied, 0);
+    EXPECT_FALSE(st.wal_failed);
+    EXPECT_EQ(st.wal.durable_bytes, kWalLogHeaderBytes + st.wal.log_bytes)
+        << "the failed frame must not count as logged";
+
+    auto grown2 = shared_grid(22, 20);
+    service.submit_update(id, grown2, diff_graphs(*grown, *grown2));
+    live = *service.snapshot(id);
+    live_digest = session->state_digest();
+  }
+
+  PartitionService service(sc);
+  const auto reports = service.recover(cfg);
+  ASSERT_EQ(reports.size(), 1u);
+  EXPECT_EQ(reports[0].records_replayed, 2u) << "two deltas, no refinement";
+  EXPECT_EQ(reports[0].final_epoch, 2u);
+  EXPECT_EQ(service.snapshot(1)->assignment, live.assignment);
+  EXPECT_EQ(service.session_handle(1)->state_digest(), live_digest);
+}
+
 TEST(Durability, TaskStartFaultAbandonsCleanly) {
   const PartId k = 3;
   ServiceConfig sc;
@@ -528,6 +590,9 @@ TEST(Durability, FaultStormLosesNoAckedDelta) {
   GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
 }
 TEST(Durability, FailStopAfterExhaustedAppendRetries) {
+  GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
+}
+TEST(Durability, FailedRefinementAppendLeavesNoRecordToReplay) {
   GTEST_SKIP() << "built without GAPART_FAULT_INJECTION";
 }
 TEST(Durability, TaskStartFaultAbandonsCleanly) {
@@ -584,9 +649,10 @@ TEST(Durability, ShedAndDeferUnderBacklog) {
 TEST(Durability, RejectWithBackpressureAtInflightCap) {
   // Every submit counts itself against max_inflight_repairs, so a cap of 1
   // admits a solo caller and rejects whoever overlaps one.  Overlap a slow
-  // repair (big session) with a fast client retrying try_submit_update —
-  // the documented backpressure protocol.  The overlap window is timing-
-  // dependent, so the assertions hold whether or not a rejection landed:
+  // repair (big session) with a fast client retrying submit_update on
+  // OverloadError — the documented backpressure protocol.  The overlap
+  // window is timing-dependent, so the assertions hold whether or not a
+  // rejection landed:
   // every rejection is counted, nothing is lost, nothing applies twice.
   const PartId k = 3;
   ServiceConfig sc;
@@ -612,16 +678,26 @@ TEST(Durability, RejectWithBackpressureAtInflightCap) {
   std::thread slow([&] {
     // The big session's client also obeys the protocol — it could lose the
     // admission race to the fast client's first attempt.
-    while (!service.try_submit_update(a, big65, big_delta)) {
-      rejections.fetch_add(1, std::memory_order_relaxed);
+    for (;;) {
+      try {
+        service.submit_update(a, big65, big_delta);
+        break;
+      } catch (const OverloadError&) {
+        rejections.fetch_add(1, std::memory_order_relaxed);
+      }
     }
   });
 
   auto small14 = shared_grid(14, 12);
   const GraphDelta small_delta = diff_graphs(*small13, *small14);
-  while (!service.try_submit_update(b, small14, small_delta)) {
-    rejections.fetch_add(1, std::memory_order_relaxed);
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
+  for (;;) {
+    try {
+      service.submit_update(b, small14, small_delta);
+      break;
+    } catch (const OverloadError&) {
+      rejections.fetch_add(1, std::memory_order_relaxed);
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
   }
   slow.join();
 

@@ -293,7 +293,7 @@ TEST(HillClimbSeeded, FixesDamageFromSeedsAlone) {
   EXPECT_DOUBLE_EQ(m.imbalance_sq, 0.0);
 }
 
-TEST(HillClimbSeeded, OptionsSeedVerticesEquivalentToHillClimbFrom) {
+TEST(HillClimbSeeded, HillClimbFromIgnoresOptionsMode) {
   const Graph g = make_grid(16, 16);
   const DamagedGrid d = damaged_block_grid(16, 4, 20, 99);
   PartitionState sa(g, d.start, 4);
@@ -303,8 +303,7 @@ TEST(HillClimbSeeded, OptionsSeedVerticesEquivalentToHillClimbFrom) {
   const auto ra = hill_climb_from(sa, d.damaged, opt);
   HillClimbOptions seeded = opt;
   seeded.mode = HillClimbMode::kFrontier;
-  seeded.seed_vertices = d.damaged;
-  const auto rb = hill_climb(sb, seeded);
+  const auto rb = hill_climb_from(sb, d.damaged, seeded);
   EXPECT_EQ(sa.assignment(), sb.assignment());
   EXPECT_EQ(ra.moves, rb.moves);
   EXPECT_EQ(ra.examined, rb.examined);
@@ -488,12 +487,8 @@ TEST(HillClimb, ChromosomeOverloadStrongGuarantee) {
   EXPECT_EQ(genes, original) << "genes moved-from after min_gain failure";
 
   opt.min_gain = 1e-9;
-  opt.seed_vertices = {99};  // out of range
-  EXPECT_THROW(hill_climb(g, genes, 2, opt), Error);
-  EXPECT_EQ(genes, original) << "genes moved-from after seed failure";
 
   // And the happy path still works after all those failures.
-  opt.seed_vertices.clear();
   EXPECT_NO_THROW(hill_climb(g, genes, 2, opt));
 }
 

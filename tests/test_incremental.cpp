@@ -25,14 +25,19 @@ IncrementalGaOptions small_incremental(PartId k, int gens) {
   return opt;
 }
 
+/// Pure growth: the first |previous| vertices of `grown` carry over.
+GraphDelta growth(const Graph& grown, const Assignment& previous) {
+  return appended_delta(grown, static_cast<VertexId>(previous.size()));
+}
+
 TEST(IncrementalGa, RepartitionsGrownMesh) {
   const Mesh base = paper_mesh(118);
   const Mesh grown = paper_incremental_mesh(base, 118, 21);
   Rng rng(3);
   const auto prev = rsb_partition(base.graph, 4, rng);
   const auto opt = small_incremental(4, 60);
-  const auto res =
-      incremental_repartition(grown.graph, prev, opt, rng);
+  const auto res = incremental_repartition(grown.graph, prev,
+                                           growth(grown.graph, prev), opt, rng);
   ASSERT_TRUE(is_valid_assignment(grown.graph, res.best, 4));
   EXPECT_LE(max_size_deviation(res.best, 4), 3);
   ASSERT_TRUE(res.ga_ran);
@@ -56,7 +61,8 @@ TEST(IncrementalGa, BeatsGreedyDeterministicAssignment) {
       evaluate_fitness(grown.graph, greedy, 8, params);
 
   auto opt = small_incremental(8, 120);
-  const auto res = incremental_repartition(grown.graph, prev, opt, rng);
+  const auto res = incremental_repartition(grown.graph, prev,
+                                           growth(grown.graph, prev), opt, rng);
   EXPECT_GT(res.best_fitness, greedy_fitness);
 }
 
@@ -72,7 +78,8 @@ TEST(IncrementalGa, SeedNeverLost) {
   const auto seed = incremental_seed_assignment(grown.graph, prev, 4, seed_rng);
   const double seed_fitness = evaluate_fitness(
       grown.graph, seed, 4, opt.dpga.ga.fitness);
-  const auto res = incremental_repartition(grown.graph, prev, opt, rng);
+  const auto res = incremental_repartition(grown.graph, prev,
+                                           growth(grown.graph, prev), opt, rng);
   // Not exactly the same seed (random placement), but the GA explored a
   // population derived from such extensions, so its best must be at least
   // competitive.
@@ -85,7 +92,9 @@ TEST(IncrementalGa, ValidatesPreviousSize) {
   const Assignment too_big(200, 0);
   const auto opt = small_incremental(2, 5);
   EXPECT_THROW(
-      incremental_repartition(base.graph, too_big, opt, rng), Error);
+      incremental_repartition(base.graph, too_big,
+                              growth(base.graph, too_big), opt, rng),
+      Error);
 }
 
 TEST(IncrementalGa, ValidatesPreviousPartIds) {
@@ -98,9 +107,13 @@ TEST(IncrementalGa, ValidatesPreviousPartIds) {
   Assignment bad(static_cast<std::size_t>(base.graph.num_vertices()), 0);
   bad[5] = 7;  // k = 4 below
   const auto opt = small_incremental(4, 5);
-  EXPECT_THROW(incremental_repartition(grown.graph, bad, opt, rng), Error);
+  EXPECT_THROW(incremental_repartition(grown.graph, bad,
+                                       growth(grown.graph, bad), opt, rng),
+               Error);
   bad[5] = -1;
-  EXPECT_THROW(incremental_repartition(grown.graph, bad, opt, rng), Error);
+  EXPECT_THROW(incremental_repartition(grown.graph, bad,
+                                       growth(grown.graph, bad), opt, rng),
+               Error);
 }
 
 TEST(IncrementalInit, MakeIncrementalPopulationValidatesPartIds) {
@@ -123,7 +136,8 @@ TEST(IncrementalGa, TieredPipelineReportsStats) {
   auto opt = small_incremental(4, 10);
   opt.refine_with_ga = false;  // greedy + repair only
 
-  const auto res = incremental_repartition(grown.graph, prev, opt, rng);
+  const auto res = incremental_repartition(grown.graph, prev,
+                                           growth(grown.graph, prev), opt, rng);
   ASSERT_TRUE(is_valid_assignment(grown.graph, res.best, 4));
   EXPECT_FALSE(res.ga_ran);
   ASSERT_EQ(res.tiers.size(), 2u);
@@ -151,7 +165,8 @@ TEST(IncrementalGa, GaTierNeverLosesRepairedSeed) {
   Rng rng(19);
   const auto prev = rsb_partition(base.graph, 4, rng);
   const auto opt = small_incremental(4, 15);
-  const auto res = incremental_repartition(grown.graph, prev, opt, rng);
+  const auto res = incremental_repartition(grown.graph, prev,
+                                           growth(grown.graph, prev), opt, rng);
   ASSERT_TRUE(res.ga_ran);
   ASSERT_EQ(res.tiers.size(), 3u);
   EXPECT_EQ(res.tiers[2].name, "ga_refine");
@@ -169,7 +184,8 @@ TEST(IncrementalGa, BalancedExtendTierOption) {
   auto opt = small_incremental(2, 5);
   opt.greedy_extend = false;
   opt.refine_with_ga = false;
-  const auto res = incremental_repartition(grown.graph, prev, opt, rng);
+  const auto res = incremental_repartition(grown.graph, prev,
+                                           growth(grown.graph, prev), opt, rng);
   ASSERT_EQ(res.tiers.size(), 2u);
   EXPECT_EQ(res.tiers[0].name, "balanced_extend");
   ASSERT_TRUE(is_valid_assignment(grown.graph, res.best, 2));
@@ -178,8 +194,8 @@ TEST(IncrementalGa, BalancedExtendTierOption) {
 }
 
 TEST(IncrementalGa, ExplicitDeltaOverload) {
-  // Supplying the exact delta must agree with the convenience overload on
-  // pure growth (same seeds, same rng stream, same pipeline).
+  // The same pure-growth delta with the same seeds and rng stream runs the
+  // same pipeline.
   const Mesh base = paper_mesh(78);
   const Mesh grown = paper_incremental_mesh(base, 78, 10);
   Rng rng_a(31);
@@ -192,7 +208,8 @@ TEST(IncrementalGa, ExplicitDeltaOverload) {
   const auto delta = appended_delta(grown.graph, 78);
   const auto res_a =
       incremental_repartition(grown.graph, prev, delta, opt, rng_a);
-  const auto res_b = incremental_repartition(grown.graph, prev, opt, rng_b);
+  const auto res_b = incremental_repartition(
+      grown.graph, prev, growth(grown.graph, prev), opt, rng_b);
   EXPECT_EQ(res_a.best, res_b.best);
   EXPECT_EQ(res_a.damage, res_b.damage);
 

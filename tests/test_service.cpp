@@ -215,7 +215,6 @@ TEST(PartitionSession, GrowthStreamKeepsStateConsistent) {
 
   const SessionStats st = session.stats();
   EXPECT_EQ(st.updates, 8u);
-  EXPECT_EQ(st.cut_trajectory.size(), 9u);  // open + 8 repairs
   EXPECT_GT(st.examined, 0);
 }
 

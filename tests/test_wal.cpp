@@ -15,6 +15,7 @@
 
 #include "common/backoff.hpp"
 #include "common/checksum.hpp"
+#include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/delta_codec.hpp"
@@ -507,41 +508,6 @@ TEST(WalLog, CompactTruncatesAndAppendsResume) {
   EXPECT_TRUE(fs::exists(dir + "/snap-2.graph"));
 }
 
-TEST(WalLog, FsyncPolicyGovernsSyncCount) {
-  DurabilityConfig every_n;
-  every_n.fsync = FsyncPolicy::kEveryN;
-  every_n.fsync_interval = 3;
-  const std::string dir_n = fresh_dir("fsync_n");
-  {
-    auto wal = make_wal(dir_n, every_n);
-    const std::uint64_t base = wal->stats().fsyncs;  // creation syncs
-    for (int i = 1; i <= 7; ++i) {
-      wal->append(WalRecordType::kDelta, static_cast<std::uint64_t>(i), 0,
-                  "x", 1);
-    }
-    EXPECT_EQ(wal->stats().fsyncs - base, 2u);  // after records 3 and 6
-    wal->sync();                                // flushes the 7th
-    EXPECT_EQ(wal->stats().fsyncs - base, 3u);
-    wal->sync();  // nothing unsynced: no-op
-    EXPECT_EQ(wal->stats().fsyncs - base, 3u);
-  }
-
-  DurabilityConfig never;
-  never.fsync = FsyncPolicy::kNever;
-  const std::string dir_never = fresh_dir("fsync_never");
-  {
-    auto wal = make_wal(dir_never, never);
-    const std::uint64_t base = wal->stats().fsyncs;
-    wal->append(WalRecordType::kDelta, 1, 0, "x", 1);
-    wal->append(WalRecordType::kDelta, 2, 0, "x", 1);
-    EXPECT_EQ(wal->stats().fsyncs - base, 0u);
-  }
-
-  EXPECT_STREQ(fsync_policy_name(FsyncPolicy::kNever), "never");
-  EXPECT_STREQ(fsync_policy_name(FsyncPolicy::kEveryRecord), "every_record");
-  EXPECT_STREQ(fsync_policy_name(FsyncPolicy::kEveryN), "every_n");
-}
-
 TEST(WalLog, AssignmentPayloadRoundTrip) {
   const Assignment a = {0, 3, 1, 2, 2, 0, 1};
   const std::string payload = encode_assignment(a);
@@ -610,7 +576,6 @@ TEST(WalBackoff, RetriesTransientFailuresWithExponentialSchedule) {
   BackoffPolicy p;
   p.max_attempts = 5;
   p.initial_seconds = 0.001;
-  p.multiplier = 2.0;
   p.max_seconds = 0.003;
 
   int calls = 0;
@@ -654,59 +619,64 @@ TEST(WalBackoff, ExhaustionRethrowsAndNonTransientPropagates) {
 }
 
 // ---------------------------------------------------------------------------
-// Replication-era additions: close-time flush under kEveryN, the durable
-// offset the shipper reads up to, live tail reads, and snapshot digests in
-// CURRENT.
-
-TEST(WalLog, EveryNFlushesResidualRecordsOnClose) {
-  // Regression: with fsync=kEveryN a session closed between interval
-  // boundaries used to leave its last records unsynced — an orderly
-  // shutdown could lose acknowledged updates.  Destruction must flush.
-  DurabilityConfig every_n;
-  every_n.fsync = FsyncPolicy::kEveryN;
-  every_n.fsync_interval = 100;  // far larger than the appends below
-  const std::string dir = fresh_dir("close_flush");
-  std::uint64_t synced_before_close = 0;
-  std::uint64_t synced_after_appends = 0;
-  {
-    auto wal = make_wal(dir, every_n);
-    synced_before_close = wal->stats().fsyncs;
-    wal->append(WalRecordType::kDelta, 1, 0, "only-record", 1);
-    wal->append(WalRecordType::kDelta, 2, 0, "still-buffered", 1);
-    synced_after_appends = wal->stats().fsyncs;
-    EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes)
-        << "interval not reached: nothing past the header is durable yet";
-  }
-  EXPECT_EQ(synced_after_appends, synced_before_close)
-      << "sanity: the interval must not have fired during the test";
-  // After close, recovery sees both records — the destructor synced them.
-  const auto rec = SessionWal::recover(dir, every_n);
-  ASSERT_EQ(rec.records.size(), 2u);
-  EXPECT_EQ(rec.records[1].payload, "still-buffered");
-}
+// Replication-era additions: the durable offset the shipper reads up to,
+// live tail reads, and snapshot digests in CURRENT.
 
 TEST(WalLog, DurableBytesTracksTheFsyncFrontier) {
-  DurabilityConfig every_n;
-  every_n.fsync = FsyncPolicy::kEveryN;
-  every_n.fsync_interval = 2;
+  // Every append is fsynced before it returns, so the frontier is the end
+  // of the log after each one.  An append whose fsync fails is rolled back:
+  // the frontier and the file both stay at the last durable record.
+  DurabilityConfig cfg;
+  cfg.io_retry.max_attempts = 1;  // the first injected fault is final
   const std::string dir = fresh_dir("durable_bytes");
-  auto wal = make_wal(dir, every_n);
+  const std::string path = dir + "/wal.log";
+  auto wal = make_wal(dir, cfg);
   EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes);
+  const std::uint64_t fsyncs = wal->stats().fsyncs;
   wal->append(WalRecordType::kDelta, 1, 0, "a", 1);
-  // One record appended, none synced: the frontier holds at the header.
-  EXPECT_EQ(wal->stats().durable_bytes, kWalLogHeaderBytes);
-  EXPECT_GT(wal->stats().log_bytes, 0u);
+  const std::uint64_t frontier = wal->stats().durable_bytes;
+  EXPECT_EQ(frontier, kWalLogHeaderBytes + wal->stats().log_bytes);
+  EXPECT_EQ(file_size(path), frontier);
+  EXPECT_EQ(wal->stats().fsyncs, fsyncs + 1);
+#if GAPART_FAULT_INJECTION
+  {
+    ScopedFaultInjection scope(FaultSite::kWalFsync, /*nth=*/1);
+    EXPECT_THROW(wal->append(WalRecordType::kDelta, 2, 0, "b", 1), IoError);
+  }
+  EXPECT_EQ(wal->stats().durable_bytes, frontier);
+  EXPECT_EQ(kWalLogHeaderBytes + wal->stats().log_bytes, frontier);
+  EXPECT_EQ(file_size(path), frontier) << "the failed frame must be gone";
+  EXPECT_EQ(read_log_file(path).records.size(), 1u);
+  // The retried append lands right after the last durable record.
   wal->append(WalRecordType::kDelta, 2, 0, "b", 1);
-  // Interval hit: everything written is now durable.
-  EXPECT_EQ(wal->stats().durable_bytes,
-            kWalLogHeaderBytes + wal->stats().log_bytes);
-  wal->append(WalRecordType::kDelta, 3, 0, "c", 1);
-  EXPECT_LT(wal->stats().durable_bytes,
-            kWalLogHeaderBytes + wal->stats().log_bytes);
-  wal->sync();
-  EXPECT_EQ(wal->stats().durable_bytes,
-            kWalLogHeaderBytes + wal->stats().log_bytes);
+  const WalReadResult read = read_log_file(path);
+  ASSERT_EQ(read.records.size(), 2u);
+  EXPECT_EQ(read.records[1].payload, "b");
+  EXPECT_EQ(wal->stats().durable_bytes, file_size(path));
+#endif
 }
+
+#if GAPART_FAULT_INJECTION
+TEST(WalLog, FailedRollbackRefusesLaterAppends) {
+  // When the rollback of a failed append fails too, the WAL cannot vouch
+  // for its tail any more: it refuses every later append, which fail-stops
+  // a session on its next delta.
+  DurabilityConfig cfg;
+  cfg.io_retry.max_attempts = 1;
+  const std::string dir = fresh_dir("broken");
+  auto wal = make_wal(dir, cfg);
+  wal->append(WalRecordType::kDelta, 1, 0, "a", 1);
+  const std::uint64_t frontier = wal->stats().durable_bytes;
+  {
+    // Every write and every fsync fails: the append, then its rollback.
+    ScopedFaultInjection scope(/*seed=*/7, /*probability=*/1.0);
+    EXPECT_THROW(wal->append(WalRecordType::kDelta, 2, 0, "b", 1), IoError);
+  }
+  EXPECT_THROW(wal->append(WalRecordType::kDelta, 2, 0, "b", 1), IoError);
+  EXPECT_EQ(wal->stats().durable_bytes, frontier);
+  EXPECT_EQ(wal->stats().appends, 1u);
+}
+#endif
 
 TEST(WalLog, TailReadResumesAtFrameBoundaries) {
   const std::string dir = fresh_dir("tail");
