@@ -1,13 +1,13 @@
 #include "graph/delta_codec.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <limits>
 #include <numeric>
 #include <optional>
 #include <vector>
 
 #include "common/assert.hpp"
+#include "common/byte_codec.hpp"
 
 namespace gapart {
 
@@ -15,46 +15,14 @@ namespace {
 
 constexpr std::uint32_t kCodecMagic = 0x31434447u;  // "GDC1"
 
-// -- little-endian primitive append/read helpers ----------------------------
-
-template <typename T>
-void put(std::string& out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-class ByteReader {
- public:
-  explicit ByteReader(std::string_view bytes) : bytes_(bytes) {}
-
-  template <typename T>
-  T get() {
-    GAPART_REQUIRE(pos_ + sizeof(T) <= bytes_.size(),
-                   "delta record truncated: need ", sizeof(T), " bytes at ",
-                   pos_, ", have ", bytes_.size());
-    T value;
-    std::memcpy(&value, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return value;
-  }
-
-  bool exhausted() const { return pos_ == bytes_.size(); }
-  std::size_t pos() const { return pos_; }
-
- private:
-  std::string_view bytes_;
-  std::size_t pos_ = 0;
-};
-
-void append_vertex_row(std::string& out, const Graph& g, VertexId v) {
-  put<double>(out, g.vertex_weight(v));
+void append_vertex_row(ByteWriter& out, const Graph& g, VertexId v) {
+  out.put<double>(g.vertex_weight(v));
   const auto nbrs = g.neighbors(v);
   const auto wgts = g.edge_weights(v);
-  put<std::uint64_t>(out, nbrs.size());
+  out.put<std::uint64_t>(nbrs.size());
   for (std::size_t i = 0; i < nbrs.size(); ++i) {
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(nbrs[i]));
-    put<double>(out, wgts[i]);
+    out.put<std::uint64_t>(static_cast<std::uint64_t>(nbrs[i]));
+    out.put<double>(wgts[i]);
   }
 }
 
@@ -66,27 +34,28 @@ std::string encode_delta(const Graph& grown, const GraphDelta& delta) {
                      delta.old_num_vertices <= n_new,
                  "delta old vertex count ", delta.old_num_vertices,
                  " out of range for |V| = ", n_new);
-  std::string out;
-  put<std::uint32_t>(out, kCodecMagic);
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(delta.old_num_vertices));
-  put<std::uint64_t>(out, static_cast<std::uint64_t>(n_new));
-  put<std::uint64_t>(out, delta.touched_old.size());
+  std::string bytes;
+  ByteWriter out(bytes);
+  out.put<std::uint32_t>(kCodecMagic)
+      .put<std::uint64_t>(static_cast<std::uint64_t>(delta.old_num_vertices))
+      .put<std::uint64_t>(static_cast<std::uint64_t>(n_new))
+      .put<std::uint64_t>(delta.touched_old.size());
   VertexId prev_id = -1;
   for (const VertexId v : delta.touched_old) {
     GAPART_REQUIRE(v > prev_id && v < delta.old_num_vertices,
                    "touched list must be sorted survivors; got ", v);
     prev_id = v;
-    put<std::uint64_t>(out, static_cast<std::uint64_t>(v));
+    out.put<std::uint64_t>(static_cast<std::uint64_t>(v));
   }
   for (const VertexId v : delta.touched_old) append_vertex_row(out, grown, v);
   for (VertexId v = delta.old_num_vertices; v < n_new; ++v) {
     append_vertex_row(out, grown, v);
   }
-  return out;
+  return bytes;
 }
 
 DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
-  ByteReader in(bytes);
+  ByteReader in(bytes, "delta record");
   GAPART_REQUIRE(in.get<std::uint32_t>() == kCodecMagic,
                  "delta record has wrong magic");
   const auto old_n64 = in.get<std::uint64_t>();
@@ -106,7 +75,7 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
   // count the remaining bytes cannot hold is corrupt — reject it before
   // sizing anything by it.
   GAPART_REQUIRE((touched_count * 3 + (new_n64 - old_n64) * 2) * 8 <=
-                     bytes.size() - in.pos(),
+                     in.remaining(),
                  "delta record too short for ", touched_count,
                  " touched and ", new_n64 - old_n64, " appended vertices");
   DecodedDelta out;
@@ -173,8 +142,7 @@ DecodedDelta decode_delta(const Graph& prev, std::string_view bytes) {
     }
     rec_xadj.push_back(rec_adj.size());
   }
-  GAPART_REQUIRE(in.exhausted(), "delta record has ", bytes.size() - in.pos(),
-                 " trailing bytes");
+  in.expect_end();
 
   // The seam checks, O(damage * degree).  Untouched rows are copied
   // verbatim, so the record must agree with them and with itself:

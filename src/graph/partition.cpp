@@ -5,7 +5,7 @@
 #include <cstring>
 
 #include "common/assert.hpp"
-#include "common/checksum.hpp"
+#include "common/byte_codec.hpp"
 
 namespace gapart {
 
@@ -28,30 +28,30 @@ std::uint64_t hash_item(const void* data, std::size_t len) {
   return z;
 }
 
-std::uint64_t hash_vertex_part(VertexId v, PartId p) {
-  char buf[sizeof(std::uint64_t) + sizeof(std::int32_t)];
-  const auto v64 = static_cast<std::uint64_t>(v);
-  const auto p32 = static_cast<std::int32_t>(p);
-  std::memcpy(buf, &v64, sizeof(v64));
-  std::memcpy(buf + sizeof(v64), &p32, sizeof(p32));
+/// hash_item over two fields laid out back to back.
+template <typename A, typename B>
+std::uint64_t hash_pair(A a, B b) {
+  char buf[sizeof(A) + sizeof(B)];
+  std::memcpy(buf, &a, sizeof(A));
+  std::memcpy(buf + sizeof(A), &b, sizeof(B));
   return hash_item(buf, sizeof(buf));
 }
 
-std::uint64_t hash_part_weight(PartId q, double w) {
-  char buf[sizeof(std::int32_t) + sizeof(double)];
-  const auto q32 = static_cast<std::int32_t>(q);
-  std::memcpy(buf, &q32, sizeof(q32));
-  std::memcpy(buf + sizeof(q32), &w, sizeof(w));
-  return hash_item(buf, sizeof(buf));
-}
-
-std::uint64_t hash_shape(VertexId n, PartId k) {
-  char buf[sizeof(std::uint64_t) + sizeof(std::int32_t)];
-  const auto n64 = static_cast<std::uint64_t>(n);
-  const auto k32 = static_cast<std::int32_t>(k);
-  std::memcpy(buf, &n64, sizeof(n64));
-  std::memcpy(buf + sizeof(n64), &k32, sizeof(k32));
-  return hash_item(buf, sizeof(buf));
+/// The content hash of (graph size, k, assignment, part weights): a
+/// wrapping sum of per-item hashes, so it can be recomputed in any order.
+std::uint64_t content_hash_of(VertexId n, PartId k, const Assignment& a,
+                              const std::vector<double>& part_weight) {
+  std::uint64_t h = hash_pair(static_cast<std::uint64_t>(n),
+                              static_cast<std::int32_t>(k));
+  for (VertexId v = 0; v < n; ++v) {
+    h += hash_pair(static_cast<std::uint64_t>(v),
+                   static_cast<std::int32_t>(a[static_cast<std::size_t>(v)]));
+  }
+  for (PartId q = 0; q < k; ++q) {
+    h += hash_pair(static_cast<std::int32_t>(q),
+                   part_weight[static_cast<std::size_t>(q)]);
+  }
+  return h;
 }
 
 }  // namespace
@@ -525,33 +525,20 @@ PartitionMetrics PartitionState::metrics() const {
 }
 
 std::uint64_t PartitionState::content_hash() const {
-  std::uint64_t h = hash_shape(g_->num_vertices(), num_parts_);
-  const VertexId n = g_->num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    h += hash_vertex_part(v, assign_[static_cast<std::size_t>(v)]);
-  }
-  for (PartId q = 0; q < num_parts_; ++q) {
-    h += hash_part_weight(q, part_weight_[static_cast<std::size_t>(q)]);
-  }
-  return h;
+  return content_hash_of(g_->num_vertices(), num_parts_, assign_,
+                         part_weight_);
 }
 
 std::uint64_t assignment_content_hash(const Graph& g, const Assignment& a,
                                       PartId num_parts) {
   GAPART_REQUIRE(is_valid_assignment(g, a, num_parts),
                  "invalid assignment for ", num_parts, " parts");
-  std::uint64_t h = hash_shape(g.num_vertices(), num_parts);
   std::vector<double> weight(static_cast<std::size_t>(num_parts), 0.0);
-  const VertexId n = g.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    const PartId p = a[static_cast<std::size_t>(v)];
-    h += hash_vertex_part(v, p);
-    weight[static_cast<std::size_t>(p)] += g.vertex_weight(v);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    weight[static_cast<std::size_t>(a[static_cast<std::size_t>(v)])] +=
+        g.vertex_weight(v);
   }
-  for (PartId q = 0; q < num_parts; ++q) {
-    h += hash_part_weight(q, weight[static_cast<std::size_t>(q)]);
-  }
-  return h;
+  return content_hash_of(g.num_vertices(), num_parts, a, weight);
 }
 
 }  // namespace gapart

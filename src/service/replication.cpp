@@ -2,14 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
 #include "common/assert.hpp"
-#include "common/checksum.hpp"
+#include "common/byte_codec.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
 #include "graph/io.hpp"
@@ -18,41 +18,37 @@ namespace gapart {
 
 namespace {
 
-constexpr std::uint32_t kRepMagic = 0x50524147u;  // "GARP"
-// magic + type + sub + generation + session + seq + epoch + flags +
-// payload_len + crc.
-constexpr std::size_t kRepHeaderSize = 4 + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4 + 4;
-// CRC covers header bytes [4, kRepCrcOffset) chained with the payload.
-constexpr std::size_t kRepCrcOffset = kRepHeaderSize - 4;
+// Fixed fields: type u8 + sub u8 + generation, session, seq, epoch u64 +
+// flags u32.
+constexpr CrcFrameLayout kRepFrame{0x50524147u /* "GARP" */, 38,
+                                   std::numeric_limits<std::uint32_t>::max()};
 /// Cap on log bytes read per session per pump (keeps one pump bounded).
 constexpr std::uint64_t kMaxReadBytesPerPump = 4ull << 20;
 
-void put_u32(std::string& out, std::uint32_t v) {
-  char buf[4];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  char buf[8];
-  std::memcpy(buf, &v, sizeof(v));
-  out.append(buf, sizeof(buf));
-}
-
-std::uint32_t get_u32(const std::string& in, std::size_t pos) {
-  std::uint32_t v = 0;
-  std::memcpy(&v, in.data() + pos, sizeof(v));
-  return v;
-}
-
-std::uint64_t get_u64(const std::string& in, std::size_t pos) {
-  std::uint64_t v = 0;
-  std::memcpy(&v, in.data() + pos, sizeof(v));
-  return v;
-}
-
 std::string generation_path(const std::string& dir) {
   return dir + "/GENERATION";
+}
+
+/// Marks a replica diverged and throws: it must never be promoted.
+[[noreturn]] void diverge(FollowerStats& stats, std::uint64_t session,
+                          const std::string& why) {
+  stats.diverged = true;
+  throw ReplicationDivergedError("session " + std::to_string(session) + " " +
+                                 why);
+}
+
+/// Exact divergence detection at a snapshot boundary: the replica's state
+/// must match the leader's digest bit for bit, or it fail-stops.
+void verify_digest(FollowerStats& stats, const PartitionSession& session,
+                   const RepFrame& frame, std::uint64_t leader_digest) {
+  const std::uint64_t local = session.state_digest();
+  if (local != leader_digest) {
+    diverge(stats, frame.session,
+            "diverged at epoch " + std::to_string(frame.epoch) +
+                ": leader digest " + std::to_string(leader_digest) +
+                ", follower " + std::to_string(local));
+  }
+  ++stats.digests_verified;
 }
 
 }  // namespace
@@ -62,90 +58,76 @@ std::string generation_path(const std::string& dir) {
 // ---------------------------------------------------------------------------
 
 std::string encode_rep_frame(const RepFrame& frame) {
-  std::string out;
-  out.reserve(kRepHeaderSize + frame.payload.size());
-  put_u32(out, kRepMagic);
-  out.push_back(static_cast<char>(frame.type));
-  out.push_back(static_cast<char>(frame.sub));
-  put_u64(out, frame.generation);
-  put_u64(out, frame.session);
-  put_u64(out, frame.seq);
-  put_u64(out, frame.epoch);
-  put_u32(out, frame.flags);
-  put_u32(out, static_cast<std::uint32_t>(frame.payload.size()));
-  std::uint32_t crc = crc32(out.data() + 4, out.size() - 4);
-  crc = crc32(frame.payload.data(), frame.payload.size(), crc);
-  put_u32(out, crc);
-  out += frame.payload;
-  return out;
+  std::string fields;
+  ByteWriter(fields)
+      .put<std::uint8_t>(static_cast<std::uint8_t>(frame.type))
+      .put<std::uint8_t>(frame.sub)
+      .put<std::uint64_t>(frame.generation)
+      .put<std::uint64_t>(frame.session)
+      .put<std::uint64_t>(frame.seq)
+      .put<std::uint64_t>(frame.epoch)
+      .put<std::uint32_t>(frame.flags);
+  return seal_crc_frame(kRepFrame, fields, frame.payload);
 }
 
 std::optional<RepFrame> decode_rep_frame(const std::string& wire) {
-  if (wire.size() < kRepHeaderSize) return std::nullopt;
-  if (get_u32(wire, 0) != kRepMagic) return std::nullopt;
-  const auto type = static_cast<std::uint8_t>(wire[4]);
+  auto opened = open_crc_frame(kRepFrame, wire);
+  if (!opened.has_value() || opened->size != wire.size()) return std::nullopt;
+  ByteReader& in = opened->fields;
+  const auto type = in.get<std::uint8_t>();
   if (type < 1 || type > 4) return std::nullopt;
-  const std::uint32_t payload_len = get_u32(wire, kRepCrcOffset - 4);
-  if (wire.size() != kRepHeaderSize + payload_len) return std::nullopt;
-  std::uint32_t crc = crc32(wire.data() + 4, kRepCrcOffset - 4);
-  crc = crc32(wire.data() + kRepHeaderSize, payload_len, crc);
-  if (crc != get_u32(wire, kRepCrcOffset)) return std::nullopt;
-
   RepFrame frame;
   frame.type = static_cast<RepFrameType>(type);
-  frame.sub = static_cast<std::uint8_t>(wire[5]);
-  frame.generation = get_u64(wire, 6);
-  frame.session = get_u64(wire, 14);
-  frame.seq = get_u64(wire, 22);
-  frame.epoch = get_u64(wire, 30);
-  frame.flags = get_u32(wire, 38);
-  frame.payload = wire.substr(kRepHeaderSize);
+  frame.sub = in.get<std::uint8_t>();
+  // A record carries a WAL record type; an unknown one must never reach
+  // replay, which would take it for a refinement.
+  if (frame.type == RepFrameType::kRecord &&
+      frame.sub != static_cast<std::uint8_t>(WalRecordType::kDelta) &&
+      frame.sub != static_cast<std::uint8_t>(WalRecordType::kRefine)) {
+    return std::nullopt;
+  }
+  frame.generation = in.get<std::uint64_t>();
+  frame.session = in.get<std::uint64_t>();
+  frame.seq = in.get<std::uint64_t>();
+  frame.epoch = in.get<std::uint64_t>();
+  frame.flags = in.get<std::uint32_t>();
+  frame.payload = opened->payload;
   return frame;
 }
 
 std::string encode_open_payload(const OpenPayload& open) {
   std::string out;
-  put_u32(out, static_cast<std::uint32_t>(open.num_parts));
-  put_u32(out, static_cast<std::uint32_t>(open.fitness.objective));
-  std::uint64_t lambda_bits = 0;
-  std::memcpy(&lambda_bits, &open.fitness.lambda, sizeof(lambda_bits));
-  put_u64(out, lambda_bits);
-  put_u64(out, open.digest);
-  put_u64(out, open.graph_text.size());
-  out += open.graph_text;
-  put_u64(out, open.part_text.size());
-  out += open.part_text;
+  ByteWriter(out)
+      .put<std::uint32_t>(static_cast<std::uint32_t>(open.num_parts))
+      .put<std::uint32_t>(static_cast<std::uint32_t>(open.fitness.objective))
+      .put<double>(open.fitness.lambda)
+      .put<std::uint64_t>(open.digest)
+      .put<std::uint64_t>(open.graph_text.size())
+      .put_bytes(open.graph_text)
+      .put<std::uint64_t>(open.part_text.size())
+      .put_bytes(open.part_text);
   return out;
 }
 
-OpenPayload decode_open_payload(const std::string& payload) {
-  const auto need = [&](std::size_t pos, std::size_t n) {
-    if (pos + n > payload.size()) {
-      throw ReplicationError("malformed open-session payload (" +
-                             std::to_string(payload.size()) + " bytes)");
-    }
-  };
+OpenPayload decode_open_payload(const std::string& payload) try {
+  ByteReader in(payload, "open-session payload");
   OpenPayload open;
-  std::size_t pos = 0;
-  need(pos, 24);
-  open.num_parts = static_cast<PartId>(get_u32(payload, pos));
-  open.fitness.objective = static_cast<Objective>(get_u32(payload, pos + 4));
-  const std::uint64_t lambda_bits = get_u64(payload, pos + 8);
-  std::memcpy(&open.fitness.lambda, &lambda_bits, sizeof(open.fitness.lambda));
-  open.digest = get_u64(payload, pos + 16);
-  pos += 24;
-  need(pos, 8);
-  const std::uint64_t graph_len = get_u64(payload, pos);
-  pos += 8;
-  need(pos, graph_len);
-  open.graph_text = payload.substr(pos, graph_len);
-  pos += graph_len;
-  need(pos, 8);
-  const std::uint64_t part_len = get_u64(payload, pos);
-  pos += 8;
-  need(pos, part_len);
-  open.part_text = payload.substr(pos, part_len);
+  open.num_parts = static_cast<PartId>(in.get<std::uint32_t>());
+  const auto objective = in.get<std::uint32_t>();
+  open.fitness.lambda = in.get<double>();
+  open.digest = in.get<std::uint64_t>();
+  open.graph_text = in.take(in.get<std::uint64_t>());
+  open.part_text = in.take(in.get<std::uint64_t>());
+  in.expect_end();
+  GAPART_REQUIRE(open.num_parts >= 1 &&
+                     objective <= static_cast<std::uint32_t>(
+                                      Objective::kWorstComm),
+                 "open-session payload names ", open.num_parts,
+                 " parts and objective ", objective);
+  open.fitness.objective = static_cast<Objective>(objective);
   return open;
+} catch (const Error& e) {
+  throw ReplicationError(e.what());
 }
 
 std::uint64_t read_generation_file(const std::string& dir) {
@@ -260,7 +242,7 @@ void ReplicationShipper::observe_compaction(SessionId id, SessionShip& ship,
     frame.type = RepFrameType::kCompact;
     frame.session = id;
     frame.epoch = wal.snapshot_epoch;
-    put_u64(frame.payload, wal.snapshot_digest);
+    ByteWriter(frame.payload).put<std::uint64_t>(wal.snapshot_digest);
     enqueue(ship, std::move(frame));
     ship.file_offset = kWalLogHeaderBytes;
     ship.shipped_snapshot_epoch = wal.snapshot_epoch;
@@ -290,7 +272,7 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
   const std::uint64_t limit =
       std::min(wal.durable_bytes, ship.file_offset + kMaxReadBytesPerPump);
   const std::string path = service_.session_wal_dir(id) + "/wal.log";
-  const WalTail tail = read_log_tail(path, ship.file_offset, limit);
+  WalTail tail = read_log_tail(path, ship.file_offset, limit);
   for (std::size_t i = 0; i < tail.records.size(); ++i) {
     if (ship.queue.size() >= config_.max_unacked_frames) {
       // Backpressure: stop at this frame boundary; the offset stays put so
@@ -298,7 +280,7 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
       ++stats_.backpressure_stalls;
       break;
     }
-    const WalRecord& record = tail.records[i];
+    WalRecord& record = tail.records[i];
     const bool ship_it = record.type == WalRecordType::kDelta
                              ? record.epoch == ship.read_epoch + 1
                              : record.epoch == ship.read_epoch;
@@ -309,7 +291,7 @@ void ReplicationShipper::read_tail(SessionId id, SessionShip& ship,
       frame.session = id;
       frame.epoch = record.epoch;
       frame.flags = record.flags;
-      frame.payload = record.payload;
+      frame.payload = std::move(record.payload);
       enqueue(ship, std::move(frame));
       ship.read_epoch = record.epoch;
       ++stats_.records_shipped;
@@ -550,7 +532,7 @@ void ReplicationFollower::ack(SessionId id, const Replica& replica) {
   }
 }
 
-void ReplicationFollower::handle_frame(const RepFrame& frame) {
+void ReplicationFollower::handle_frame(RepFrame frame) {
   if (frame.type == RepFrameType::kAck) return;  // not addressed to us
 
   // Fencing: frames from a generation below the accepted term are a deposed
@@ -605,18 +587,12 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
     } catch (const IoError&) {
       ++stats_.apply_failures;  // local snapshot write failed; no session
       return;
+    } catch (const Error&) {
+      ++stats_.corrupt_rejected;  // e.g. a partition that does not fit
+      return;
     }
-    const std::uint64_t local =
-        service_.session_handle(frame.session)->state_digest();
-    if (local != open.digest) {
-      stats_.diverged = true;
-      throw ReplicationDivergedError(
-          "session " + std::to_string(frame.session) +
-          " diverged at open epoch " + std::to_string(frame.epoch) +
-          ": leader digest " + std::to_string(open.digest) + ", follower " +
-          std::to_string(local));
-    }
-    ++stats_.digests_verified;
+    verify_digest(stats_, *service_.session_handle(frame.session), frame,
+                  open.digest);
     replica.applied_seq = frame.seq;
     replica.applied_epoch = frame.epoch;
     ++stats_.opens_applied;
@@ -653,30 +629,17 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
 
   if (frame.type == RepFrameType::kCompact) {
     if (frame.epoch != replica.applied_epoch) {
-      stats_.diverged = true;
-      throw ReplicationDivergedError(
-          "session " + std::to_string(frame.session) +
-          " compaction boundary at epoch " + std::to_string(frame.epoch) +
-          " does not match applied epoch " +
-          std::to_string(replica.applied_epoch));
+      diverge(stats_, frame.session,
+              "compaction boundary at epoch " + std::to_string(frame.epoch) +
+                  " does not match applied epoch " +
+                  std::to_string(replica.applied_epoch));
     }
     if (frame.payload.size() != 8) {
       ++stats_.corrupt_rejected;
       return;
     }
-    const std::uint64_t leader_digest = get_u64(frame.payload, 0);
-    const std::uint64_t local = session->state_digest();
-    if (local != leader_digest) {
-      // Exact divergence detection: bit-for-bit disagreement at a snapshot
-      // boundary.  Fail-stop — this replica must never be promoted.
-      stats_.diverged = true;
-      throw ReplicationDivergedError(
-          "session " + std::to_string(frame.session) + " diverged at epoch " +
-          std::to_string(frame.epoch) + ": leader digest " +
-          std::to_string(leader_digest) + ", follower " +
-          std::to_string(local));
-    }
-    ++stats_.digests_verified;
+    verify_digest(stats_, *session, frame,
+                  ByteReader(frame.payload).get<std::uint64_t>());
     session->compact_now();  // false keeps the log; correctness unaffected
     replica.applied_seq = frame.seq;
     ++stats_.compacts_applied;
@@ -691,16 +654,15 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
   record.type = static_cast<WalRecordType>(frame.sub);
   record.epoch = frame.epoch;
   record.flags = frame.flags;
-  record.payload = frame.payload;
+  record.payload = std::move(frame.payload);
   const bool chain_ok = record.type == WalRecordType::kDelta
                             ? record.epoch == replica.applied_epoch + 1
                             : record.epoch == replica.applied_epoch;
   if (!chain_ok) {
-    stats_.diverged = true;
-    throw ReplicationDivergedError(
-        "session " + std::to_string(frame.session) + " record epoch " +
-        std::to_string(record.epoch) + " breaks the chain at applied epoch " +
-        std::to_string(replica.applied_epoch));
+    diverge(stats_, frame.session,
+            "record epoch " + std::to_string(record.epoch) +
+                " breaks the chain at applied epoch " +
+                std::to_string(replica.applied_epoch));
   }
   try {
     replay_wal_record(*session, record, /*log_locally=*/true);
@@ -710,6 +672,12 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
   } catch (const IoError&) {
     ++stats_.apply_failures;  // local WAL hiccup; do not advance the seq
     return;
+  } catch (const Error& e) {
+    // A CRC-valid, in-sequence record that does not apply is a missed
+    // update, like a broken chain: retrying cannot help.
+    diverge(stats_, frame.session,
+            "cannot apply record epoch " + std::to_string(record.epoch) +
+                ": " + e.what());
   }
   replica.applied_seq = frame.seq;
   replica.applied_epoch = record.epoch;
@@ -720,18 +688,22 @@ void ReplicationFollower::handle_frame(const RepFrame& frame) {
 int ReplicationFollower::pump(double timeout_seconds) {
   std::lock_guard<std::mutex> lock(mu_);
   GAPART_REQUIRE(started_, "call start_follower() before pump()");
+  return drain_link(timeout_seconds);
+}
+
+int ReplicationFollower::drain_link(double timeout_seconds) {
   int processed = 0;
   double timeout = timeout_seconds;
   while (auto wire = link_.receive(timeout)) {
     timeout = 0.0;  // only the first frame waits
     ++stats_.frames_received;
     ++processed;
-    const auto frame = decode_rep_frame(*wire);
+    auto frame = decode_rep_frame(*wire);
     if (!frame.has_value()) {
       ++stats_.corrupt_rejected;  // truncated or bit-flipped in flight
       continue;
     }
-    handle_frame(*frame);
+    handle_frame(std::move(*frame));
   }
   return processed;
 }
@@ -744,15 +716,7 @@ PromotionReport ReplicationFollower::promote() {
 
   // Drain the tail: everything the dead leader managed to ship is applied
   // before the fence goes up.
-  while (auto wire = link_.receive(0.0)) {
-    ++stats_.frames_received;
-    const auto frame = decode_rep_frame(*wire);
-    if (!frame.has_value()) {
-      ++stats_.corrupt_rejected;
-      continue;
-    }
-    handle_frame(*frame);
-  }
+  drain_link(0.0);
 
   // Verify before serving: every promoted session must hold a complete,
   // valid assignment.

@@ -11,18 +11,25 @@
 // continuous tail-replay, including snapshot compactions applied in lockstep
 // with the leader's.
 //
-// Wire protocol (GARP frames, CRC-framed like the WAL):
+// Wire protocol (GARP frames, sealed and opened by the WAL's CRC-frame
+// code in common/byte_codec; every payload is fields over the same codec):
 //
 //   kOpenSession   full state bootstrap: session config + Chaco graph +
 //                  METIS partition at epoch E, plus the leader's content
 //                  digest.  Sent on attach and on resync (a follower that
 //                  fell behind a compaction).  Accepted at any seq above the
-//                  follower's applied seq — it is a full reset.
-//   kRecord        one WAL record (kDelta or kRefine), per-session seq.
+//                  follower's applied seq — it is a full reset.  A payload
+//                  whose lengths overrun it, or that names num_parts < 1 or
+//                  an unknown objective, is counted corrupt and dropped.
+//   kRecord        one WAL record (kDelta or kRefine — any other type fails
+//                  decode), per-session seq.
 //                  The follower accepts exactly applied_seq + 1 and
 //                  enforces the WAL epoch chain (kDelta: epoch + 1;
 //                  kRefine: current epoch); anything else is a duplicate or
-//                  a gap, dropped and repaired by the leader's resume.
+//                  a gap, dropped and repaired by the leader's resume.  An
+//                  in-sequence record that does not apply (a payload that
+//                  does not decode) is a missed update: like a broken
+//                  chain it fail-stops with ReplicationDivergedError.
 //   kCompact       the leader compacted at epoch E with digest D: the
 //                  follower compares D against its own state digest —
 //                  mismatch is exact divergence detection and fail-stops
@@ -311,7 +318,8 @@ class ReplicationFollower {
   /// Applies every frame currently available on the link (waiting up to
   /// `timeout_seconds` for the first one) and acks progress.  Returns
   /// frames processed.  Throws ReplicationDivergedError on a digest
-  /// mismatch at a snapshot boundary (fail-stop; `diverged` stays set).
+  /// mismatch, a broken epoch chain or an in-sequence record that does not
+  /// apply (fail-stop; `diverged` stays set).
   int pump(double timeout_seconds = 0.0);
 
   /// Failover: drains the link (applies everything already shipped),
@@ -330,7 +338,9 @@ class ReplicationFollower {
     std::uint64_t applied_epoch = 0;
   };
 
-  void handle_frame(const RepFrame& frame);
+  /// Applies every frame available on the link; see pump().
+  int drain_link(double timeout_seconds);
+  void handle_frame(RepFrame frame);
   void ack(SessionId id, const Replica& replica);
   void persist_generation();
 

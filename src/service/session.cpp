@@ -538,7 +538,12 @@ void replay_wal_record(PartitionSession& session, const WalRecord& record,
     opts.replaying = !log_locally;
     session.apply_update(std::make_shared<Graph>(std::move(decoded.grown)),
                          decoded.delta, opts);
-  } else if (log_locally) {
+    return;
+  }
+  GAPART_REQUIRE(record.type == WalRecordType::kRefine, "WAL record type ",
+                 static_cast<int>(record.type),
+                 " is neither a delta nor a refinement");
+  if (log_locally) {
     session.apply_replicated_refine(decode_assignment(record.payload));
   } else {
     session.force_assignment(decode_assignment(record.payload), "recover");

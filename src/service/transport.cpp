@@ -14,6 +14,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include "common/byte_codec.hpp"
 #include "common/fault_injection.hpp"
 
 namespace gapart {
@@ -249,11 +250,11 @@ void SocketTransport::send(const std::string& frame) {
     throw TransportError("injected fault: replication link send failed");
   }
   if (fd_ < 0) throw TransportError("socket transport is closed");
-  std::uint32_t len = static_cast<std::uint32_t>(frame.size());
-  char prefix[4];
-  std::memcpy(prefix, &len, sizeof(len));
-  const char* bufs[2] = {prefix, frame.data()};
-  const std::size_t sizes[2] = {sizeof(prefix), frame.size()};
+  std::string prefix;
+  ByteWriter(prefix).put<std::uint32_t>(
+      static_cast<std::uint32_t>(frame.size()));
+  const char* bufs[2] = {prefix.data(), frame.data()};
+  const std::size_t sizes[2] = {prefix.size(), frame.size()};
   for (int part = 0; part < 2; ++part) {
     std::size_t off = 0;
     while (off < sizes[part]) {
@@ -278,8 +279,7 @@ std::optional<std::string> SocketTransport::receive(double timeout_seconds) {
   for (;;) {
     // A complete frame may already be buffered from a previous partial read.
     if (carry_.size() >= 4) {
-      std::uint32_t len = 0;
-      std::memcpy(&len, carry_.data(), sizeof(len));
+      const auto len = ByteReader(carry_).get<std::uint32_t>();
       if (carry_.size() >= 4 + static_cast<std::size_t>(len)) {
         std::string frame = carry_.substr(4, len);
         carry_.erase(0, 4 + static_cast<std::size_t>(len));

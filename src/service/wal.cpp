@@ -10,7 +10,7 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/checksum.hpp"
+#include "common/byte_codec.hpp"
 #include "common/fault_injection.hpp"
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
@@ -24,90 +24,59 @@ namespace {
 
 constexpr std::uint32_t kFileMagic = 0x4c574147u;    // "GAWL"
 constexpr std::uint32_t kFileVersion = 1u;
-constexpr std::uint32_t kRecordMagic = 0x524c4157u;  // "WALR"
-constexpr std::size_t kFileHeaderSize = 8;
-static_assert(kFileHeaderSize == kWalLogHeaderBytes,
-              "kWalLogHeaderBytes (wal.hpp) must match the file header");
-// magic u32 + type u8 + flags u32 + epoch u64 + payload_len u32 + crc u32
-constexpr std::size_t kFrameHeaderSize = 25;
-constexpr std::uint32_t kMaxPayload = 1u << 30;
+// Fixed fields: type u8 + flags u32 + epoch u64.
+constexpr CrcFrameLayout kWalFrame{0x524c4157u /* "WALR" */, 13, 1u << 30};
 
-template <typename T>
-void put(std::string& out, T value) {
-  char buf[sizeof(T)];
-  std::memcpy(buf, &value, sizeof(T));
-  out.append(buf, sizeof(T));
-}
-
-template <typename T>
-T get_at(const std::string& bytes, std::size_t pos) {
-  T value;
-  std::memcpy(&value, bytes.data() + pos, sizeof(T));
-  return value;
-}
-
-std::string build_frame(WalRecordType type, std::uint64_t epoch,
-                        std::uint32_t flags, const std::string& payload) {
-  GAPART_REQUIRE(payload.size() <= kMaxPayload, "WAL payload of ",
-                 payload.size(), " bytes exceeds the 1 GiB frame limit");
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  put<std::uint32_t>(frame, kRecordMagic);
-  put<std::uint8_t>(frame, static_cast<std::uint8_t>(type));
-  put<std::uint32_t>(frame, flags);
-  put<std::uint64_t>(frame, epoch);
-  put<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
-  // The CRC covers the header fields after the magic plus the payload, so a
-  // flipped bit anywhere in the frame fails the same check.
-  std::uint32_t crc = crc32(frame.data() + 4, frame.size() - 4);
-  crc = crc32(payload.data(), payload.size(), crc);
-  put<std::uint32_t>(frame, crc);
-  frame.append(payload);
-  return frame;
-}
-
-/// Attempts to parse one frame at `pos`.  Returns the parsed record and
-/// advances `pos` on success; returns nullopt when the bytes at `pos` do not
-/// form a complete valid frame (caller decides: torn tail or corruption).
-std::optional<WalRecord> try_parse_frame(const std::string& bytes,
-                                         std::size_t& pos) {
-  if (pos + kFrameHeaderSize > bytes.size()) return std::nullopt;
-  if (get_at<std::uint32_t>(bytes, pos) != kRecordMagic) return std::nullopt;
-  const auto type = get_at<std::uint8_t>(bytes, pos + 4);
+/// Opens the record frame at the start of `bytes`: nullopt unless it is a
+/// complete valid frame of a known type (the caller decides whether that
+/// is a torn tail or corruption).
+std::optional<OpenedCrcFrame> open_wal_frame(std::string_view bytes) {
+  auto frame = open_crc_frame(kWalFrame, bytes);
+  if (!frame.has_value()) return std::nullopt;
+  const auto type = ByteReader(frame->fields).get<std::uint8_t>();
   if (type != static_cast<std::uint8_t>(WalRecordType::kDelta) &&
       type != static_cast<std::uint8_t>(WalRecordType::kRefine)) {
     return std::nullopt;
   }
-  const auto flags = get_at<std::uint32_t>(bytes, pos + 5);
-  const auto epoch = get_at<std::uint64_t>(bytes, pos + 9);
-  const auto payload_len = get_at<std::uint32_t>(bytes, pos + 17);
-  if (payload_len > kMaxPayload) return std::nullopt;
-  if (pos + kFrameHeaderSize + payload_len > bytes.size()) return std::nullopt;
-  const auto stored_crc = get_at<std::uint32_t>(bytes, pos + 21);
-  std::uint32_t crc = crc32(bytes.data() + pos + 4, kFrameHeaderSize - 8);
-  crc = crc32(bytes.data() + pos + kFrameHeaderSize, payload_len, crc);
-  if (crc != stored_crc) return std::nullopt;
-
-  WalRecord rec;
-  rec.type = static_cast<WalRecordType>(type);
-  rec.epoch = epoch;
-  rec.flags = flags;
-  rec.payload = bytes.substr(pos + kFrameHeaderSize, payload_len);
-  pos += kFrameHeaderSize + payload_len;
-  return rec;
+  return frame;
 }
 
 /// Is there any fully valid frame at or after `from`?  Distinguishes a torn
 /// tail (no — the file simply ends in a partial write) from corruption in
 /// the middle of the log (yes — trusting later records would reorder
 /// history, so recovery must refuse).
-bool any_valid_frame_after(const std::string& bytes, std::size_t from) {
-  for (std::size_t pos = from; pos + kFrameHeaderSize <= bytes.size(); ++pos) {
-    if (get_at<std::uint32_t>(bytes, pos) != kRecordMagic) continue;
-    std::size_t probe = pos;
-    if (try_parse_frame(bytes, probe).has_value()) return true;
+bool any_valid_frame_after(std::string_view bytes, std::size_t from) {
+  for (std::size_t pos = from; pos < bytes.size(); ++pos) {
+    if (open_wal_frame(bytes.substr(pos)).has_value()) return true;
   }
   return false;
+}
+
+/// Opens the frames of a whole log image from `offset` on, stopping at the
+/// first invalid frame or the first frame ending past `limit`.  The image
+/// must hold at least the file header, which is checked.
+WalTail open_frames(const std::string& bytes, const std::string& path,
+                    std::size_t offset, std::size_t limit) {
+  ByteReader header(bytes, "WAL file header");
+  if (header.get<std::uint32_t>() != kFileMagic ||
+      header.get<std::uint32_t>() != kFileVersion) {
+    throw WalCorruptError("'" + path + "' is not a gapart WAL (bad header)");
+  }
+  WalTail out;
+  std::size_t pos = offset;
+  while (pos < limit) {
+    auto frame = open_wal_frame(std::string_view(bytes).substr(pos));
+    if (!frame.has_value() || pos + frame->size > limit) break;
+    WalRecord& rec = out.records.emplace_back();
+    rec.type = static_cast<WalRecordType>(frame->fields.get<std::uint8_t>());
+    rec.flags = frame->fields.get<std::uint32_t>();
+    rec.epoch = frame->fields.get<std::uint64_t>();
+    rec.payload = frame->payload;  // the one copy per record
+    pos += frame->size;
+    out.ends.push_back(pos);
+  }
+  out.end_offset = pos;
+  return out;
 }
 
 void posix_fsync_fd(int fd, const char* what) {
@@ -191,32 +160,22 @@ WalReadResult read_log_file(const std::string& path) {
   if (!fs::exists(path, ec)) return out;
 
   const std::string bytes = read_small_file(path);
-  if (bytes.size() < kFileHeaderSize) {
+  if (bytes.size() < kWalLogHeaderBytes) {
     // A crash during log creation: nothing was ever appended.
     out.torn_tail = !bytes.empty();
     return out;
   }
-  if (get_at<std::uint32_t>(bytes, 0) != kFileMagic ||
-      get_at<std::uint32_t>(bytes, 4) != kFileVersion) {
-    throw WalCorruptError("'" + path + "' is not a gapart WAL (bad header)");
-  }
-
-  std::size_t pos = kFileHeaderSize;
-  out.valid_bytes = pos;
-  while (pos < bytes.size()) {
-    auto rec = try_parse_frame(bytes, pos);
-    if (!rec.has_value()) {
-      if (any_valid_frame_after(bytes, pos + 1)) {
-        throw WalCorruptError(
-            "'" + path + "' has a corrupt record at offset " +
-            std::to_string(pos) + " followed by valid records — refusing " +
-            "to replay past a hole in history");
-      }
-      out.torn_tail = true;
-      break;
+  WalTail frames = open_frames(bytes, path, kWalLogHeaderBytes, bytes.size());
+  out.records = std::move(frames.records);
+  out.valid_bytes = frames.end_offset;
+  if (out.valid_bytes < bytes.size()) {
+    if (any_valid_frame_after(bytes, out.valid_bytes + 1)) {
+      throw WalCorruptError(
+          "'" + path + "' has a corrupt record at offset " +
+          std::to_string(out.valid_bytes) + " followed by valid records — " +
+          "refusing to replay past a hole in history");
     }
-    out.records.push_back(std::move(*rec));
-    out.valid_bytes = pos;
+    out.torn_tail = true;
   }
   return out;
 }
@@ -232,47 +191,30 @@ WalTail read_log_tail(const std::string& path, std::uint64_t offset,
   if (!fs::exists(path, ec)) return out;
 
   const std::string bytes = read_small_file(path);
-  if (bytes.size() < kFileHeaderSize || offset > bytes.size()) return out;
-  if (get_at<std::uint32_t>(bytes, 0) != kFileMagic ||
-      get_at<std::uint32_t>(bytes, 4) != kFileVersion) {
-    throw WalCorruptError("'" + path + "' is not a gapart WAL (bad header)");
-  }
-
-  const std::size_t limit =
+  if (bytes.size() < kWalLogHeaderBytes || offset > bytes.size()) return out;
+  return open_frames(
+      bytes, path, static_cast<std::size_t>(offset),
       static_cast<std::size_t>(std::min<std::uint64_t>(limit_bytes,
-                                                       bytes.size()));
-  std::size_t pos = static_cast<std::size_t>(offset);
-  while (pos < limit) {
-    std::size_t next = pos;
-    auto rec = try_parse_frame(bytes, next);
-    if (!rec.has_value() || next > limit) break;
-    out.records.push_back(std::move(*rec));
-    out.ends.push_back(next);
-    pos = next;
-  }
-  out.end_offset = pos;
-  return out;
+                                                       bytes.size())));
 }
 
 std::string encode_assignment(const Assignment& assignment) {
   std::string out;
   out.reserve(8 + assignment.size() * 4);
-  put<std::uint64_t>(out, assignment.size());
-  for (const PartId p : assignment) put<std::int32_t>(out, p);
+  ByteWriter w(out);
+  w.put<std::uint64_t>(assignment.size());
+  for (const PartId p : assignment) w.put<std::int32_t>(p);
   return out;
 }
 
 Assignment decode_assignment(const std::string& payload) {
-  GAPART_REQUIRE(payload.size() >= 8, "assignment payload truncated");
-  const auto n = get_at<std::uint64_t>(payload, 0);
-  GAPART_REQUIRE(payload.size() == 8 + n * 4,
+  ByteReader in(payload, "assignment payload");
+  const auto n = in.get<std::uint64_t>();
+  GAPART_REQUIRE(in.remaining() % 4 == 0 && n == in.remaining() / 4,
                  "assignment payload size mismatch: header says ", n,
                  " entries, payload has ", payload.size(), " bytes");
   Assignment a(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    a[static_cast<std::size_t>(i)] =
-        get_at<std::int32_t>(payload, 8 + static_cast<std::size_t>(i) * 4);
-  }
+  for (PartId& p : a) p = in.get<std::int32_t>();
   return a;
 }
 
@@ -293,19 +235,19 @@ void SessionWal::open_log(std::uint64_t resume_at, bool truncate_all) {
     throw IoError("cannot open '" + path + "': " + std::strerror(errno));
   }
   const std::uint64_t keep =
-      truncate_all || resume_at < kFileHeaderSize ? 0 : resume_at;
+      truncate_all || resume_at < kWalLogHeaderBytes ? 0 : resume_at;
   if (::ftruncate(fd_, static_cast<off_t>(keep)) != 0) {
     throw IoError("cannot truncate '" + path + "': " + std::strerror(errno));
   }
   if (keep == 0) {
     std::string header;
-    put<std::uint32_t>(header, kFileMagic);
-    put<std::uint32_t>(header, kFileVersion);
+    ByteWriter(header).put<std::uint32_t>(kFileMagic).put<std::uint32_t>(
+        kFileVersion);
     append_frame_once(header);
     posix_fsync_fd(fd_, "log header");
   }
   // Whatever the file holds now *is* what survived — by definition durable.
-  stats_.durable_bytes = keep == 0 ? kFileHeaderSize : keep;
+  stats_.durable_bytes = keep == 0 ? kWalLogHeaderBytes : keep;
 }
 
 void SessionWal::append_frame_once(const std::string& frame) {
@@ -357,7 +299,12 @@ void SessionWal::append(WalRecordType type, std::uint64_t epoch,
     throw IoError("WAL '" + dir_ + "/wal.log' refuses appends: an earlier " +
                   "failed append could not be rolled back");
   }
-  const std::string frame = build_frame(type, epoch, flags, payload);
+  std::string fields;
+  ByteWriter(fields)
+      .put<std::uint8_t>(static_cast<std::uint8_t>(type))
+      .put<std::uint32_t>(flags)
+      .put<std::uint64_t>(epoch);
+  const std::string frame = seal_crc_frame(kWalFrame, fields, payload);
   try {
     stats_.append_retries += static_cast<std::uint64_t>(retry_with_backoff(
         config_.io_retry, [&] { append_frame_once(frame); }));
@@ -393,7 +340,7 @@ bool SessionWal::should_compact() const {
       (config_.ship_retain_bytes == 0 ||
        stats_.log_bytes < config_.ship_retain_bytes) &&
       ship_gate_->consumed_offset.load(std::memory_order_acquire) <
-          kFileHeaderSize + stats_.log_bytes) {
+          kWalLogHeaderBytes + stats_.log_bytes) {
     return false;
   }
   return true;
@@ -423,7 +370,7 @@ void SessionWal::compact(std::uint64_t epoch, const Graph& graph,
     // CURRENT now points at the new snapshot; the log's records are all
     // <= epoch and would be skipped on replay, so truncating is safe — and
     // a crash right here leaves a stale-prefix log, which replay skips.
-    if (::ftruncate(fd_, static_cast<off_t>(kFileHeaderSize)) != 0) {
+    if (::ftruncate(fd_, static_cast<off_t>(kWalLogHeaderBytes)) != 0) {
       throw IoError(std::string("WAL truncate failed: ") +
                     std::strerror(errno));
     }
@@ -437,7 +384,7 @@ void SessionWal::compact(std::uint64_t epoch, const Graph& graph,
   stats_.log_records = 0;
   stats_.log_bytes = 0;
   stats_.log_damage = 0;
-  stats_.durable_bytes = kFileHeaderSize;
+  stats_.durable_bytes = kWalLogHeaderBytes;
   ++stats_.compactions;
   stats_.last_compaction_seconds = timer.seconds();
 
@@ -562,9 +509,9 @@ SessionWal::Recovered SessionWal::recover(std::string dir,
   out.wal->stats_.snapshot_epoch = out.snapshot_epoch;
   out.wal->stats_.snapshot_digest = out.snapshot_digest;
   out.wal->stats_.log_records = out.records.size();
-  out.wal->stats_.log_bytes =
-      log.valid_bytes > kFileHeaderSize ? log.valid_bytes - kFileHeaderSize
-                                        : 0;
+  out.wal->stats_.log_bytes = log.valid_bytes > kWalLogHeaderBytes
+                                  ? log.valid_bytes - kWalLogHeaderBytes
+                                  : 0;
   out.wal->open_log(log.valid_bytes, /*truncate_all=*/false);
   return out;
 }

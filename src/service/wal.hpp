@@ -13,6 +13,14 @@
 // the existing Chaco/METIS writers (temp file + rename + fsync) and the log
 // is truncated.
 //
+// Bytes: the log file header ("GAWL", version), the record frames
+// ([magic][type u8][flags u32][epoch u64][len u32][crc u32][payload]) and
+// the kRefine assignment payload are fields over common/byte_codec, the one
+// codec every binary format shares; frames are sealed and opened by its
+// CRC-frame pair, exactly as replication frames are.  Parsers turn hostile
+// bytes into a rejected frame or a typed gapart::Error — e.g. an
+// assignment count the payload cannot hold — never a non-gapart exception.
+//
 // On-disk layout of one session directory:
 //
 //   meta               session identity: num_parts, objective, lambda

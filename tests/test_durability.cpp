@@ -332,6 +332,22 @@ std::shared_ptr<const Graph> trace_graph(int step) {
   return std::make_shared<const Graph>(b.build());
 }
 
+TEST(Durability, ReplayRefusesAnUnknownRecordType) {
+  // Only kDelta and kRefine exist; a record of any other type must not be
+  // taken for a refinement and adopt its payload as the assignment.
+  const PartId k = 2;
+  const auto g = shared_grid(4, 4);
+  PartitionSession session(g, column_bands(4, 4, k), session_config(k));
+  Assignment flipped = session.snapshot()->assignment;
+  flipped[0] = flipped[0] == 0 ? 1 : 0;
+  WalRecord record;
+  record.type = static_cast<WalRecordType>(7);
+  record.payload = encode_assignment(flipped);
+  EXPECT_THROW(replay_wal_record(session, record, /*log_locally=*/false),
+               Error);
+  EXPECT_NE(session.snapshot()->assignment, flipped);
+}
+
 TEST(Durability, KillPointFuzzMatchesReference) {
   const PartId k = 3;
   const int kSteps = 6;

@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <new>
@@ -462,6 +463,123 @@ TEST(Replication, DivergenceFailStopsWithTypedError) {
   EXPECT_TRUE(rig.follower->stats().diverged);
   // A diverged replica must never be promoted.
   EXPECT_THROW(rig.follower->promote(), Error);
+}
+
+TEST(Replication, UndecodableRecordFailStopsAndBlocksPromotion) {
+  // A CRC-valid, in-sequence record whose payload does not decode means
+  // the replica missed an update: like a broken chain, it must fail-stop
+  // with the typed error and never be promoted.
+  const PartId k = 3;
+  Rig rig("undecodable");
+  auto prev = shared_grid(12, 12);
+  const SessionId id = rig.leader->open_session(
+      prev, column_bands(12, 12, k), session_config(k));
+  auto g13 = shared_grid(13, 12);
+  rig.leader->submit_update(id, g13, diff_graphs(*prev, *g13));
+  rig.settle();
+  expect_converged(rig, id);
+
+  const ShipperStats shipped = rig.shipper->stats();
+  RepFrame junk;
+  junk.type = RepFrameType::kRecord;
+  junk.sub = static_cast<std::uint8_t>(WalRecordType::kDelta);
+  junk.generation = shipped.generation;
+  junk.session = id;
+  junk.seq = shipped.opens_shipped + shipped.records_shipped +
+             shipped.compacts_shipped + 1;
+  junk.epoch = rig.follower->applied_epoch(id) + 1;
+  junk.payload = "not a delta record";
+  rig.leader_end->send(encode_rep_frame(junk));
+  EXPECT_THROW(rig.follower->pump(), ReplicationDivergedError);
+  EXPECT_TRUE(rig.follower->stats().diverged);
+  EXPECT_EQ(rig.follower->stats().records_applied, shipped.records_shipped);
+  EXPECT_THROW(rig.follower->promote(), Error);
+}
+
+TEST(Replication, RecordFrameOfUnknownWalTypeIsRejected) {
+  RepFrame frame;
+  frame.type = RepFrameType::kRecord;
+  frame.generation = 1;
+  frame.session = 1;
+  frame.seq = 1;
+  frame.epoch = 0;
+  frame.payload = encode_assignment({1, 0});
+  for (const std::uint8_t sub : {0, 3, 7, 255}) {
+    frame.sub = sub;
+    EXPECT_FALSE(decode_rep_frame(encode_rep_frame(frame)).has_value())
+        << "sub " << static_cast<int>(sub);
+  }
+  for (const WalRecordType type :
+       {WalRecordType::kDelta, WalRecordType::kRefine}) {
+    frame.sub = static_cast<std::uint8_t>(type);
+    const auto decoded = decode_rep_frame(encode_rep_frame(frame));
+    ASSERT_TRUE(decoded.has_value());
+    EXPECT_EQ(decoded->sub, frame.sub);
+  }
+}
+
+OpenPayload small_open_payload() {
+  OpenPayload open;
+  open.num_parts = 2;
+  open.digest = 42;
+  open.graph_text = "2 1\n2\n1\n";
+  open.part_text = "0\n1\n";
+  return open;
+}
+
+TEST(Replication, OpenPayloadRejectsAliasingLengthsAndBadIdentity) {
+  EXPECT_NO_THROW(
+      decode_open_payload(encode_open_payload(small_open_payload())));
+
+  // A graph length of 2^64 - 8 wraps `pos + n`: both texts would alias the
+  // same trailing bytes.
+  std::string aliased = encode_open_payload(small_open_payload());
+  const std::uint64_t huge = ~std::uint64_t{0} - 7;
+  std::memcpy(aliased.data() + 24, &huge, sizeof(huge));
+  EXPECT_THROW(decode_open_payload(aliased), ReplicationError);
+
+  OpenPayload no_parts = small_open_payload();
+  no_parts.num_parts = 0;
+  EXPECT_THROW(decode_open_payload(encode_open_payload(no_parts)),
+               ReplicationError);
+
+  OpenPayload bad_objective = small_open_payload();
+  bad_objective.fitness.objective = static_cast<Objective>(7);
+  EXPECT_THROW(decode_open_payload(encode_open_payload(bad_objective)),
+               ReplicationError);
+}
+
+TEST(Replication, JunkOpenPayloadCountsAsCorruptNotAnEscape) {
+  // Each junk open is CRC-valid; the follower must count and drop it, not
+  // let an exception out of pump().
+  Rig rig("junk_open");
+  std::string aliased = encode_open_payload(small_open_payload());
+  const std::uint64_t huge = ~std::uint64_t{0} - 7;
+  std::memcpy(aliased.data() + 24, &huge, sizeof(huge));
+  OpenPayload no_parts = small_open_payload();
+  no_parts.num_parts = 0;
+  OpenPayload bad_objective = small_open_payload();
+  bad_objective.fitness.objective = static_cast<Objective>(7);
+  // Decodes and parses, but part 5 does not exist in a 2-way session.
+  OpenPayload misfit = small_open_payload();
+  misfit.part_text = "0\n5\n";
+  const std::vector<std::string> payloads = {
+      aliased, encode_open_payload(no_parts),
+      encode_open_payload(bad_objective), encode_open_payload(misfit)};
+  std::uint64_t seq = 1;
+  for (const std::string& payload : payloads) {
+    RepFrame open;
+    open.type = RepFrameType::kOpenSession;
+    open.generation = 1;
+    open.session = 9;
+    open.seq = seq++;
+    open.payload = payload;
+    rig.leader_end->send(encode_rep_frame(open));
+  }
+  EXPECT_NO_THROW(rig.follower->pump());
+  EXPECT_EQ(rig.follower->stats().corrupt_rejected, payloads.size());
+  EXPECT_EQ(rig.follower->stats().opens_applied, 0u);
+  EXPECT_FALSE(rig.follower->stats().diverged);
 }
 
 TEST(Replication, FollowerRestartResumesFromItsOwnDisk) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -14,7 +15,7 @@
 #include <vector>
 
 #include "common/backoff.hpp"
-#include "common/checksum.hpp"
+#include "common/byte_codec.hpp"
 #include "common/fault_injection.hpp"
 #include "common/rng.hpp"
 #include "core/graph_delta.hpp"
@@ -515,6 +516,16 @@ TEST(WalLog, AssignmentPayloadRoundTrip) {
   EXPECT_THROW(decode_assignment(payload.substr(0, payload.size() - 1)),
                Error);
   EXPECT_THROW(decode_assignment(""), Error);
+}
+
+TEST(WalLog, AssignmentCountThatWrapsTheSizeCheckIsTyped) {
+  // 8 + n * 4 wraps to 12 for n = 2^62 + 1: a size check done in that
+  // arithmetic passes and sizing the assignment by n throws a non-gapart
+  // exception that recovery and the follower do not catch.
+  std::string payload(12, '\0');
+  const std::uint64_t n = (1ull << 62) + 1;
+  std::memcpy(payload.data(), &n, sizeof(n));
+  EXPECT_THROW(decode_assignment(payload), Error);
 }
 
 // ---------------------------------------------------------------------------
