@@ -13,27 +13,28 @@
 //             at >= 512^2 / k=2, the thin-front regime ROADMAP asks about,
 //             frontier vs sweep is answered by the same rows.
 //
-//   pipeline: the tiered incremental_repartition (GA tier off) on grids
-//             grown by appended rows: per-tier moves / probes / seconds, so
-//             the damage-proportionality of the whole pipeline — not just
-//             the climb — is on record.
+//   pipeline: one PartitionSession per row (service/session.hpp) absorbs
+//             a grid grown by appended rows through apply_update — greedy
+//             extension, O(damage) state rebind, seeded cascade and up to 4
+//             verification rounds under a budget that never binds: moves /
+//             probes / seconds of the whole per-delta repair, so its
+//             damage-proportionality — not just the climb's — is on record.
 //
 //   ./bench/micro_incremental_repair [--seconds=0.2] [--quick] > repair.json
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
-#include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "core/graph_delta.hpp"
 #include "core/hill_climb.hpp"
-#include "core/incremental.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "service/session.hpp"
 
 namespace {
 
@@ -101,10 +102,8 @@ struct PipelineRow {
   VertexId n = 0;      // base grid side (square)
   VertexId grow_rows = 0;
   PartId k = 2;
-  VertexId damage = 0;
-  std::vector<IncrementalTierStats> tiers;
-  double best_fitness = 0.0;
-  double seconds = 0.0;
+  RepairReport repair;
+  double seconds = 0.0;  // the whole apply_update call, publish included
 };
 
 PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
@@ -113,8 +112,8 @@ PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
   row.grow_rows = grow_rows;
   row.k = k;
 
-  const Graph old_g = make_grid(n, n);
-  const Graph grown = make_grid(n + grow_rows, n);
+  const auto old_g = std::make_shared<const Graph>(make_grid(n, n));
+  const auto grown = std::make_shared<const Graph>(make_grid(n + grow_rows, n));
 
   // Previous partition: repaired block partition of the old grid (the
   // shared generator with zero damage).
@@ -122,20 +121,17 @@ PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
   HillClimbOptions settle;
   settle.mode = HillClimbMode::kFrontier;
   settle.max_passes = 10;
-  hill_climb(old_g, prev, k, settle);
+  hill_climb(*old_g, prev, k, settle);
 
-  IncrementalGaOptions opt;
-  opt.dpga.ga.num_parts = k;
-  opt.refine_with_ga = false;  // measure the damage-proportional tiers
-  Rng rng(0x1A2B);
-  const GraphDelta delta = diff_graphs(old_g, grown);
+  SessionConfig cfg;
+  cfg.num_parts = k;
+  cfg.repair_budget_seconds = 1e9;  // never binds: rounds are capped below
+  cfg.repair_max_verify_rounds = 4;
+  PartitionSession session(old_g, std::move(prev), cfg);
+  const GraphDelta delta = diff_graphs(*old_g, *grown);
   WallTimer timer;
-  const IncrementalResult res =
-      incremental_repartition(grown, prev, delta, opt, rng);
+  row.repair = session.apply_update(grown, delta);
   row.seconds = timer.seconds();
-  row.damage = res.damage;
-  row.tiers = res.tiers;
-  row.best_fitness = res.best_fitness;
   return row;
 }
 
@@ -162,24 +158,17 @@ void emit_json(const std::vector<RepairRow>& repair,
   std::printf("  \"pipeline\": [\n");
   for (std::size_t i = 0; i < pipeline.size(); ++i) {
     const PipelineRow& p = pipeline[i];
+    const RepairReport& r = p.repair;
     std::printf(
         "    {\"n\": %d, \"grow_rows\": %d, \"k\": %d, \"damage\": %d, "
-        "\"best_fitness\": %.6f, \"seconds\": %.4f, \"tiers\": [",
+        "\"extend_moves\": %d, \"repair_moves\": %d, \"examined\": %lld, "
+        "\"verify_rounds\": %d, \"fitness_after\": %.6f, "
+        "\"seconds\": %.4f}%s\n",
         static_cast<int>(p.n), static_cast<int>(p.grow_rows),
-        static_cast<int>(p.k), static_cast<int>(p.damage), p.best_fitness,
-        p.seconds);
-    for (std::size_t t = 0; t < p.tiers.size(); ++t) {
-      const auto& tier = p.tiers[t];
-      std::printf(
-          "{\"name\": \"%s\", \"moves\": %d, \"examined\": %lld, "
-          "\"evaluations\": %lld, \"fitness_after\": %.6f, "
-          "\"seconds\": %.4f}%s",
-          tier.name.c_str(), tier.moves,
-          static_cast<long long>(tier.examined),
-          static_cast<long long>(tier.evaluations), tier.fitness_after,
-          tier.seconds, t + 1 < p.tiers.size() ? ", " : "");
-    }
-    std::printf("]}%s\n", i + 1 < pipeline.size() ? "," : "");
+        static_cast<int>(p.k), static_cast<int>(r.damage), r.extend_moves,
+        r.repair_moves, static_cast<long long>(r.examined), r.verify_rounds,
+        r.fitness_after, p.seconds,
+        i + 1 < pipeline.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
 }

@@ -11,8 +11,8 @@
 //             at >= 512^2 — is recorded per row as "vcycle_beats_flat".
 //
 //   end_to_end: partition a 1000 x 1000 grid (10^6 vertices) with the
-//             V-cycle, grow it by appended rows, and repair through the
-//             damage-proportional incremental pipeline — the full
+//             V-cycle, open a PartitionSession on it, grow it by appended
+//             rows, and repair the delta through apply_update — the full
 //             partition-then-evolve lifecycle at a scale the flat GA cannot
 //             touch.
 //
@@ -20,6 +20,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -28,12 +29,12 @@
 #include "common/timer.hpp"
 #include "core/ga_engine.hpp"
 #include "core/graph_delta.hpp"
-#include "core/incremental.hpp"
 #include "core/init.hpp"
 #include "core/presets.hpp"
 #include "core/vcycle_ga.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
+#include "service/session.hpp"
 
 namespace {
 
@@ -120,33 +121,35 @@ EndToEndRow bench_end_to_end(VertexId n, VertexId grow_rows, PartId k) {
   row.n = n;
   row.k = k;
   row.grow_rows = grow_rows;
-  const Graph g = make_grid(n, n);
-  row.vertices = g.num_vertices();
-  row.edges = g.num_edges();
+  const auto g = std::make_shared<const Graph>(make_grid(n, n));
+  row.vertices = g->num_vertices();
+  row.edges = g->num_edges();
 
   Rng rng(0xE2E ^ static_cast<std::uint64_t>(n));
-  const VcycleGaResult res = vcycle_ga_partition(g, bench_vcycle_options(k), rng);
+  VcycleGaResult res = vcycle_ga_partition(*g, bench_vcycle_options(k), rng);
   row.levels = res.levels;
   row.evolved_levels = res.evolved_levels;
   row.partition_seconds = res.wall_seconds;
   row.cut = res.metrics.total_cut();
   row.imbalance = res.metrics.imbalance_sq;
 
-  // Grow by appended rows and repair through the damage-proportional
-  // incremental pipeline (GA tier off: the repair cost under measurement is
-  // the delta-proportional part).
-  const Graph grown = make_grid(n + grow_rows, n);
-  const GraphDelta delta = diff_graphs(g, grown);
-  IncrementalGaOptions opt;
-  opt.dpga.ga.num_parts = k;
-  opt.refine_with_ga = false;
+  // Grow by appended rows and repair through a session's per-delta path:
+  // greedy extension, O(damage) rebind, seeded cascade, then at most 4
+  // verification rounds under a budget that never binds.  The session's
+  // O(V+E) construction at open is not part of the repair.
+  SessionConfig cfg;
+  cfg.num_parts = k;
+  cfg.repair_budget_seconds = 1e9;
+  cfg.repair_max_verify_rounds = 4;
+  PartitionSession session(g, std::move(res.assignment), cfg);
+  const auto grown =
+      std::make_shared<const Graph>(make_grid(n + grow_rows, n));
+  const GraphDelta delta = diff_graphs(*g, *grown);
   WallTimer timer;
-  const IncrementalResult inc =
-      incremental_repartition(grown, res.assignment, delta, opt, rng);
+  const RepairReport rep = session.apply_update(grown, delta);
   row.repair_seconds = timer.seconds();
-  row.damage = inc.damage;
-  row.repaired_cut =
-      compute_metrics(grown, inc.best, k).total_cut();
+  row.damage = rep.damage;
+  row.repaired_cut = session.snapshot()->total_cut;
   return row;
 }
 

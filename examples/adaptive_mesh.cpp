@@ -7,7 +7,9 @@
 // and churns data placement; the paper's answer is to seed the GA with the
 // previous partition (§3.5).  This example simulates several refinement
 // steps and compares, at every step:
-//   - incremental DKNUX (previous partition seeds the GA),
+//   - incremental DKNUX through a PartitionSession (service/session.hpp):
+//     greedy extension and seeded frontier repair per delta, then a deep
+//     refinement whose DPGA is seeded with the repaired partition,
 //   - from-scratch RSB on the refined mesh,
 //   - the deterministic majority-assignment strawman from §5,
 // reporting cut quality, balance, and how much of the old data placement
@@ -15,8 +17,10 @@
 //
 //   $ ./adaptive_mesh [--steps=4] [--base=150] [--extra=30] [--parts=8]
 #include <cstdio>
+#include <memory>
 
 #include "gapart.hpp"
+#include "service/session.hpp"
 
 using namespace gapart;
 
@@ -91,37 +95,64 @@ int main(int argc, char** argv) {
   std::printf("step 0: total cut %.0f\n\n",
               compute_metrics(mesh.graph, current, parts).total_cut());
 
+  // The session carries the partition across refinement steps.  Every delta
+  // is repaired in full (a budget that never binds, at most 4 verification
+  // rounds), and every update fires a deep refinement: the flat DPGA burst
+  // (V-cycle routing off) on the paper's DKNUX configuration.
+  SessionConfig session_cfg;
+  session_cfg.num_parts = parts;
+  session_cfg.fitness = config.ga.fitness;
+  session_cfg.repair_budget_seconds = 1e9;
+  session_cfg.repair_max_verify_rounds = 4;
+  session_cfg.policy.damage_threshold = 1;
+  session_cfg.policy.deep_damage_threshold = 1;
+  session_cfg.policy.vcycle_min_vertices = 0;
+  session_cfg.deep.dpga = config;
+  PartitionSession session(std::make_shared<const Graph>(mesh.graph), current,
+                           session_cfg);
+
   TextTable table({"step", "|V|", "method", "total cut", "imbalance",
                    "stability", "sec"});
   for (int step = 1; step <= steps; ++step) {
     const Mesh refined = densify_mesh(mesh, domain, extra, rng);
     const Graph& g = refined.graph;
 
-    // (a) the tiered incremental pipeline: greedy extension -> worklist-
-    // seeded repair -> DKNUX refinement.  densify_mesh re-triangulates, so
-    // survivors near the refinement disc get rewired: diff_graphs gives the
-    // exact damage (appended range + perturbed survivors) and the repair
-    // tier's worklist starts from precisely those vertices.
-    IncrementalGaOptions inc;
-    inc.dpga = config;
+    // (a) incremental DKNUX.  densify_mesh re-triangulates, so survivors
+    // near the refinement disc get rewired: diff_graphs gives the exact
+    // damage (appended range + perturbed survivors), and the repair's
+    // worklist starts from precisely those vertices.
+    auto grown = std::make_shared<const Graph>(g);
     const GraphDelta delta = diff_graphs(mesh.graph, g);
-    const IncrementalResult ga =
-        incremental_repartition(g, current, delta, inc, rng);
-    const PartitionMetrics& m_ga = ga.best_metrics;
-    const double ga_sec = ga.wall_seconds;
-
+    const RepairReport rep = session.apply_update(grown, delta);
     std::printf("step %d damage: %d of %d vertices (%d new, %zu rewired)\n",
-                step, static_cast<int>(ga.damage),
+                step, static_cast<int>(rep.damage),
                 static_cast<int>(g.num_vertices()),
                 static_cast<int>(delta.num_new(g)), delta.touched_old.size());
-    for (const auto& tier : ga.tiers) {
+    std::printf(
+        "  repair  fitness %10.1f  extended %4d  moves %5d  examined %6lld  "
+        "verify rounds %d  %.3fs\n",
+        rep.fitness_after, rep.extend_moves, rep.repair_moves,
+        static_cast<long long>(rep.examined), rep.verify_rounds, rep.seconds);
+
+    WallTimer t_refine;
+    const auto job = session.plan_refinement();
+    if (job.has_value()) {
+      RefineOutcome out = run_refinement(*job, session_cfg, rng.split(),
+                                         /*executor=*/nullptr);
+      const bool adopted = session.complete_refinement(
+          *job, std::move(out.assignment), out.fitness, out.full_evaluations,
+          out.delta_evaluations);
       std::printf(
-          "  tier %-14s fitness %10.1f  moves %5d  examined %6lld  "
-          "evals %8lld  %.3fs\n",
-          tier.name.c_str(), tier.fitness_after, tier.moves,
-          static_cast<long long>(tier.examined),
-          static_cast<long long>(tier.evaluations), tier.seconds);
+          "  refine  fitness %10.1f  %s  evals %8lld  %.3fs\n", out.fitness,
+          adopted ? "adopted   " : "not better",
+          static_cast<long long>(out.full_evaluations +
+                                 out.delta_evaluations),
+          t_refine.seconds());
     }
+    const double ga_sec = rep.seconds + t_refine.seconds();
+    const auto snap = session.snapshot();
+    const Assignment& ga = snap->assignment;
+    const PartitionMetrics m_ga = compute_metrics(g, ga, parts);
 
     // (b) RSB from scratch.
     WallTimer t_rsb;
@@ -148,13 +179,13 @@ int main(int argc, char** argv) {
           "%");
       table.append(sec, 2);
     };
-    add("incremental DKNUX", m_ga, ga.best, ga_sec);
+    add("incremental DKNUX", m_ga, ga, ga_sec);
     add("RSB from scratch", m_rsb, rsb, rsb_sec);
     add("greedy majority", m_greedy, greedy, greedy_sec);
     table.add_rule();
 
     mesh = refined;
-    current = ga.best;  // the solver continues on the GA's partition
+    current = ga;  // the solver continues on the session's partition
   }
   std::printf("%s\n", table.str().c_str());
   std::printf(

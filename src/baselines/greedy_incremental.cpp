@@ -126,13 +126,4 @@ Assignment greedy_incremental_assign(const Graph& grown,
   return out;
 }
 
-GreedyIncrementalResult greedy_incremental_assign(const EvalContext& eval,
-                                                  const Assignment& previous) {
-  GreedyIncrementalResult result;
-  result.assignment =
-      greedy_incremental_assign(eval.graph(), previous, eval.num_parts());
-  result.fitness = eval.evaluate(result.assignment);
-  return result;
-}
-
 }  // namespace gapart

@@ -8,7 +8,6 @@
 #include <span>
 #include <vector>
 
-#include "core/eval.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 
@@ -34,17 +33,5 @@ std::vector<PartId> greedy_incremental_extend(
 Assignment greedy_incremental_assign(const Graph& grown,
                                      const Assignment& previous,
                                      PartId num_parts);
-
-/// Greedy extension plus its quality under an EvalContext's objective.
-struct GreedyIncrementalResult {
-  Assignment assignment;
-  double fitness = 0.0;
-};
-
-/// EvalContext-aware variant: the graph/num_parts come from `eval` and the
-/// final solution is evaluated (and counted) through it, so GA-vs-greedy
-/// comparisons in the benches account both sides identically.
-GreedyIncrementalResult greedy_incremental_assign(const EvalContext& eval,
-                                                  const Assignment& previous);
 
 }  // namespace gapart

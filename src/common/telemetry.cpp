@@ -1,11 +1,13 @@
 #include "common/telemetry.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <ostream>
+#include <utility>
 
 namespace gapart {
 
@@ -68,6 +70,13 @@ struct SlotHolder {
 int thread_slot() {
   thread_local SlotHolder holder;
   return holder.slot;
+}
+
+/// A double as the shortest text that parses back to the same value
+/// (std::to_chars, as the Chaco writer prints weights).
+void write_json_number(std::ostream& os, double v) {
+  char buf[32];  // the longest shortest-round-trip double is 24 chars
+  os.write(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
 }
 
 /// Minimal JSON string escaping (metric/span names are identifiers, but a
@@ -380,17 +389,28 @@ void TelemetryRegistry::write_json(std::ostream& os) const {
   for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
     if (i) os << ',';
     write_json_string(os, snap.gauges[i].first.c_str());
-    os << ':' << snap.gauges[i].second;
+    os << ':';
+    write_json_number(os, snap.gauges[i].second);
   }
   os << "},\"histograms\":{";
   for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
     if (i) os << ',';
     const LogHistogram& h = snap.histograms[i].hist;
     write_json_string(os, snap.histograms[i].name.c_str());
-    os << ":{\"count\":" << h.count() << ",\"sum\":" << h.sum()
-       << ",\"mean\":" << h.mean() << ",\"min\":" << h.min()
-       << ",\"p50\":" << h.quantile(0.50) << ",\"p90\":" << h.quantile(0.90)
-       << ",\"p99\":" << h.quantile(0.99) << ",\"max\":" << h.max() << '}';
+    os << ":{\"count\":" << h.count();
+    const std::pair<const char*, double> fields[] = {
+        {"sum", h.sum()},
+        {"mean", h.mean()},
+        {"min", h.min()},
+        {"p50", h.quantile(0.50)},
+        {"p90", h.quantile(0.90)},
+        {"p99", h.quantile(0.99)},
+        {"max", h.max()}};
+    for (const auto& [key, value] : fields) {
+      os << ",\"" << key << "\":";
+      write_json_number(os, value);
+    }
+    os << '}';
   }
   os << "}}";
 }

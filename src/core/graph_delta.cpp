@@ -6,24 +6,6 @@
 
 namespace gapart {
 
-GraphDelta appended_delta(const Graph& grown, VertexId old_num_vertices) {
-  GAPART_REQUIRE(old_num_vertices >= 0 &&
-                     old_num_vertices <= grown.num_vertices(),
-                 "old vertex count ", old_num_vertices,
-                 " out of range for |V| = ", grown.num_vertices());
-  GraphDelta delta;
-  delta.old_num_vertices = old_num_vertices;
-  for (VertexId v = 0; v < old_num_vertices; ++v) {
-    // neighbors() is sorted ascending, so one back() check finds edges into
-    // the appended range.
-    const auto nbrs = grown.neighbors(v);
-    if (!nbrs.empty() && nbrs.back() >= old_num_vertices) {
-      delta.touched_old.push_back(v);
-    }
-  }
-  return delta;
-}
-
 GraphDelta diff_graphs(const Graph& old_graph, const Graph& grown) {
   const VertexId n_old = old_graph.num_vertices();
   GAPART_REQUIRE(n_old <= grown.num_vertices(),

@@ -35,14 +35,6 @@ struct GraphDelta {
   }
 };
 
-/// Delta for pure growth, derivable from the grown graph alone: vertices
-/// past `old_num_vertices` are new, and a surviving vertex counts as touched
-/// iff it is adjacent to a new vertex.  Exact only for pure vertex-append
-/// growth (every new edge has at least one new endpoint and weights are
-/// unchanged); when old-old adjacency, edge weights, or vertex weights also
-/// changed (e.g. a full re-triangulation) use diff_graphs instead.
-GraphDelta appended_delta(const Graph& grown, VertexId old_num_vertices);
-
 /// Exact delta between two snapshots: requires |old| <= |grown|; a surviving
 /// vertex is touched iff its neighbour list, edge weights, or vertex weight
 /// differ between the snapshots.  O(V + E) span comparisons.

@@ -24,7 +24,8 @@
 // touched.  The cascade
 // then costs O(damage), and the usual full-boundary verification rounds
 // (unless disabled) restore the sweep fixed-point class.  This is the
-// damage-proportional repair primitive behind incremental_repartition.
+// damage-proportional repair primitive behind PartitionSession::apply_update
+// (service/session.hpp).
 #pragma once
 
 #include <atomic>

@@ -51,7 +51,6 @@
 #include "core/ga_engine.hpp"      // IWYU pragma: export
 #include "core/graph_delta.hpp"    // IWYU pragma: export
 #include "core/hill_climb.hpp"     // IWYU pragma: export
-#include "core/incremental.hpp"    // IWYU pragma: export
 #include "core/individual.hpp"     // IWYU pragma: export
 #include "core/init.hpp"           // IWYU pragma: export
 #include "core/mutation.hpp"       // IWYU pragma: export

@@ -141,7 +141,7 @@ class PartitionState {
   /// weights changed (a GraphDelta's touched_old — sorted, deduplicated, all
   /// < num_vertices()).  Every changed edge must have both endpoints in the
   /// damage set (new vertices plus touched_old) — guaranteed by construction
-  /// for appended_delta / diff_graphs deltas, because an edge change perturbs
+  /// for diff_graphs and decode_delta deltas, because an edge change perturbs
   /// both endpoints' adjacency rows — and untouched survivors must keep their
   /// vertex weight.  `new_parts` assigns the appended vertices
   /// [num_vertices(), |grown|), each in [0, num_parts).  Survivors keep their
@@ -203,10 +203,11 @@ class PartitionState {
 
   /// Order-independent 64-bit digest of the partition content: the
   /// (vertex, part) pairs, the maintained part weights, and (n, k).  Built
-  /// on common/checksum with a per-item mix and commutative combination, so
-  /// two states reached by different move orders hash equal iff their
-  /// assignments (and exact weight sums) are equal — the replication layer's
-  /// divergence-detection primitive.  O(V + k), touches no scratch.
+  /// on crc32 (common/byte_codec) with a per-item mix and a commutative
+  /// wrapping sum, so two states reached by different move orders hash
+  /// equal iff their assignments (and exact weight sums) are equal — the
+  /// replication layer's divergence-detection primitive.  O(V + k), touches
+  /// no scratch.
   ///
   /// Part weights enter the digest as exact bit patterns; with integer
   /// vertex weights the maintained sums are exact, so the digest is a pure

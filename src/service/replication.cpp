@@ -13,6 +13,7 @@
 #include "common/telemetry.hpp"
 #include "common/timer.hpp"
 #include "graph/io.hpp"
+#include "service/wal.hpp"
 
 namespace gapart {
 
@@ -138,19 +139,10 @@ std::uint64_t read_generation_file(const std::string& dir) {
 }
 
 void write_generation_file(const std::string& dir, std::uint64_t generation) {
-  namespace fs = std::filesystem;
   std::error_code ec;
-  fs::create_directories(dir, ec);
-  const std::string tmp = generation_path(dir) + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    out << generation << "\n";
-    if (!out) throw IoError("cannot write '" + tmp + "'");
-  }
-  fs::rename(tmp, generation_path(dir), ec);
-  if (ec) {
-    throw IoError("cannot rename '" + tmp + "': " + ec.message());
-  }
+  std::filesystem::create_directories(dir, ec);
+  write_file_atomic(generation_path(dir), std::to_string(generation) + "\n",
+                    dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -489,9 +481,9 @@ ReplicationFollower::ReplicationFollower(PartitionService& service,
   stats_.generation = generation_;
 }
 
-void ReplicationFollower::persist_generation() {
+void ReplicationFollower::persist_generation(std::uint64_t generation) {
   if (!service_.config().durability.enabled()) return;
-  write_generation_file(service_.config().durability.dir, generation_);
+  write_generation_file(service_.config().durability.dir, generation);
 }
 
 std::vector<RecoveryReport> ReplicationFollower::start_follower() {
@@ -546,9 +538,16 @@ void ReplicationFollower::handle_frame(RepFrame frame) {
     return;
   }
   if (frame.generation > generation_) {
+    try {
+      persist_generation(frame.generation);
+    } catch (const IoError&) {
+      // The term stays where it was and nothing is applied under the new
+      // one; the leader's resume redelivers the frame.
+      ++stats_.apply_failures;
+      return;
+    }
     generation_ = frame.generation;
     stats_.generation = generation_;
-    persist_generation();
   }
 
   Replica& replica = replicas_[frame.session];
@@ -738,9 +737,9 @@ PromotionReport ReplicationFollower::promote() {
   // The fence: a strictly higher term, persisted before we serve writes.
   // Any late frame from the deposed leader now fails the generation check,
   // and the deposed leader itself learns of its demotion from our next ack.
+  persist_generation(generation_ + 1);
   generation_ += 1;
   stats_.generation = generation_;
-  persist_generation();
   stats_.promoted = true;
 
   report.generation = generation_;

@@ -125,6 +125,8 @@ OpenPayload decode_open_payload(const std::string& payload);  // throws
 /// The GENERATION fencing term persisted in a service's durability dir
 /// (0 when absent).  Exposed for tests and the chaos tooling.
 std::uint64_t read_generation_file(const std::string& dir);
+/// Durably replaces the GENERATION file (write_file_atomic: fsynced file and
+/// directory).  Throws IoError on failure, leaving the old term readable.
 void write_generation_file(const std::string& dir, std::uint64_t generation);
 
 // --- Leader side ------------------------------------------------------------
@@ -325,7 +327,9 @@ class ReplicationFollower {
   /// Failover: drains the link (applies everything already shipped),
   /// verifies every session's assignment, bumps + persists the fencing
   /// generation, and opens the service for writes.  After promotion any
-  /// late frame from the deposed leader is rejected by the fence.
+  /// late frame from the deposed leader is rejected by the fence.  The new
+  /// term is durable before it is adopted: if persisting it throws IoError,
+  /// the follower keeps its old term and may retry the promotion.
   PromotionReport promote();
 
   FollowerStats stats() const;
@@ -342,7 +346,9 @@ class ReplicationFollower {
   int drain_link(double timeout_seconds);
   void handle_frame(RepFrame frame);
   void ack(SessionId id, const Replica& replica);
-  void persist_generation();
+  /// Writes `generation` to the GENERATION file (durable services only)
+  /// BEFORE the caller adopts it as generation_; throws IoError.
+  void persist_generation(std::uint64_t generation);
 
   PartitionService& service_;
   Transport& link_;

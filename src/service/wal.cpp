@@ -115,8 +115,8 @@ void rename_file(const std::string& from, const std::string& to) {
   }
 }
 
-/// Writes `content` to `path` atomically: temp file, flush-checked close,
-/// fsync, rename over, fsync the directory.
+}  // namespace
+
 void write_file_atomic(const std::string& path, const std::string& content,
                        const std::string& dir) {
   const std::string tmp = path + ".tmp";
@@ -135,6 +135,8 @@ void write_file_atomic(const std::string& path, const std::string& content,
   rename_file(tmp, path);
   fsync_path(dir, "atomic write dir");
 }
+
+namespace {
 
 std::string read_small_file(const std::string& path) {
   std::ifstream is(path, std::ios::binary);

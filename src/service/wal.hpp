@@ -154,6 +154,14 @@ struct WalShipGate {
   std::atomic<std::uint64_t> consumed_offset{0};
 };
 
+/// Writes `content` to `path` (inside directory `dir`) atomically and
+/// durably: temp file, flush-checked close, fsync, rename over, fsync the
+/// directory.  Throws IoError on any failure, leaving the previous `path`
+/// intact.  Every snapshot, CURRENT pointer, meta file and fencing term goes
+/// through it.
+void write_file_atomic(const std::string& path, const std::string& content,
+                       const std::string& dir);
+
 /// Serializes the kRefine payload.
 std::string encode_assignment(const Assignment& assignment);
 Assignment decode_assignment(const std::string& payload);

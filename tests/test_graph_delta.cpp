@@ -11,11 +11,12 @@
 namespace gapart {
 namespace {
 
-TEST(GraphDelta, AppendedDeltaOnGrownGrid) {
+TEST(GraphDelta, DiffGraphsOnGrownGrid) {
   // Growing a row-major grid by rows appends vertices; exactly the last old
   // row becomes adjacent to the new range.
+  const Graph old_g = make_grid(5, 5);  // rows 0..4
   const Graph grown = make_grid(6, 5);  // rows 0..5
-  const GraphDelta delta = appended_delta(grown, 25);  // rows 0..4 are old
+  const GraphDelta delta = diff_graphs(old_g, grown);
   EXPECT_EQ(delta.old_num_vertices, 25);
   EXPECT_EQ(delta.num_new(grown), 5);
   ASSERT_EQ(delta.touched_old.size(), 5u);  // row 4
@@ -23,15 +24,6 @@ TEST(GraphDelta, AppendedDeltaOnGrownGrid) {
     EXPECT_EQ(delta.touched_old[i], static_cast<VertexId>(20 + i));
   }
   EXPECT_EQ(delta.damage(grown), 10);
-}
-
-TEST(GraphDelta, DiffGraphsMatchesAppendedDeltaOnPureGrowth) {
-  const Graph old_g = make_grid(5, 5);
-  const Graph grown = make_grid(7, 5);
-  const GraphDelta a = appended_delta(grown, old_g.num_vertices());
-  const GraphDelta d = diff_graphs(old_g, grown);
-  EXPECT_EQ(d.old_num_vertices, a.old_num_vertices);
-  EXPECT_EQ(d.touched_old, a.touched_old);
 }
 
 TEST(GraphDelta, DiffGraphsSeesRewiredSurvivors) {
@@ -74,15 +66,16 @@ TEST(GraphDelta, DiffGraphsSeesWeightChanges) {
 }
 
 TEST(GraphDelta, DiffGraphsOnRetriangulatedMesh) {
-  // densify_mesh re-triangulates: the exact diff must at least cover
-  // appended_delta's touched set (old vertices adjacent to new ones) and
-  // stay far below |V| for localized growth.
+  // densify_mesh re-triangulates: the exact diff must at least cover the
+  // old vertices adjacent to new ones and stay far below |V| for localized
+  // growth.
   const Mesh base = paper_mesh(183);
   const Mesh grown = paper_incremental_mesh(base, 183, 30);
-  const GraphDelta approx = appended_delta(grown.graph, 183);
   const GraphDelta exact = diff_graphs(base.graph, grown.graph);
   EXPECT_EQ(exact.num_new(grown.graph), 30);
-  for (const VertexId v : approx.touched_old) {
+  for (VertexId v = 0; v < 183; ++v) {
+    const auto nbrs = grown.graph.neighbors(v);
+    if (nbrs.empty() || nbrs.back() < 183) continue;  // sorted ascending
     EXPECT_TRUE(std::binary_search(exact.touched_old.begin(),
                                    exact.touched_old.end(), v))
         << "vertex " << v << " adjacent to new range but not in exact diff";
@@ -92,7 +85,7 @@ TEST(GraphDelta, DiffGraphsOnRetriangulatedMesh) {
 
 TEST(GraphDelta, RepairSeedsCoverDamageAndOneHop) {
   const Graph grown = make_grid(6, 5);
-  const GraphDelta delta = appended_delta(grown, 25);
+  const GraphDelta delta = diff_graphs(make_grid(5, 5), grown);
   const auto seeds = repair_seeds(delta, grown);
   EXPECT_TRUE(std::is_sorted(seeds.begin(), seeds.end()));
   EXPECT_EQ(std::adjacent_find(seeds.begin(), seeds.end()), seeds.end());
@@ -108,7 +101,6 @@ TEST(GraphDelta, RepairSeedsCoverDamageAndOneHop) {
 
 TEST(GraphDelta, Validation) {
   const Graph g = make_grid(3, 3);
-  EXPECT_THROW(appended_delta(g, 10), Error);
   GraphDelta bad;
   bad.old_num_vertices = 20;
   EXPECT_THROW(repair_seeds(bad, g), Error);

@@ -513,7 +513,7 @@ TEST_P(RebindFuzz, MatchesFreshConstructionThroughGrowRewireChains) {
 
 INSTANTIATE_TEST_SUITE_P(Fuzz, RebindFuzz, ::testing::Range(0, 8));
 
-TEST(PartitionStateRebind, PureGrowthViaAppendedDelta) {
+TEST(PartitionStateRebind, PureGrowthViaDiffGraphs) {
   const Graph old_g = make_grid(4, 4);
   Assignment a(16, 0);
   for (std::size_t i = 8; i < 16; ++i) a[i] = 1;
@@ -531,7 +531,7 @@ TEST(PartitionStateRebind, PureGrowthViaAppendedDelta) {
     if (c > 0) b.add_edge(16 + c - 1, 16 + c);
   }
   const Graph grown = b.build();
-  const GraphDelta delta = appended_delta(grown, 16);
+  const GraphDelta delta = diff_graphs(old_g, grown);
 
   const Assignment new_parts(4, 1);
   state.rebind_grown(grown, delta.touched_old, new_parts);

@@ -416,6 +416,61 @@ TEST(Replication, PromotionFencesTheDeposedLeader) {
       ReplicationError);
 }
 
+TEST(Replication, GenerationFileIsFsyncedBeforeItReplacesTheOldTerm) {
+  const std::string dir = fresh_dir("generation_fsync");
+  write_generation_file(dir, 4);
+  {
+    // A term that cannot be made durable must not replace the old one.
+    ScopedFaultInjection scope(FaultSite::kWalFsync, 1);
+    EXPECT_THROW(write_generation_file(dir, 5), IoError);
+  }
+  EXPECT_EQ(read_generation_file(dir), 4u);
+  write_generation_file(dir, 5);
+  EXPECT_EQ(read_generation_file(dir), 5u);
+}
+
+TEST(Replication, UnpersistedTermIsNeverAdopted) {
+  const PartId k = 3;
+  Rig rig("unpersisted_term");
+  const std::string follower_dir =
+      rig.follower_service->config().durability.dir;
+  auto prev = shared_grid(12, 12);
+  const SessionId id = rig.leader->open_session(prev, column_bands(12, 12, k),
+                                                session_config(k));
+  rig.shipper->pump();  // the open frame, under the leader's term 1
+  {
+    // The follower's first sight of term 1 cannot be persisted: the frame
+    // counts as an apply failure, pump() does not throw, and neither the
+    // in-memory nor the on-disk term moves.
+    ScopedFaultInjection scope(FaultSite::kWalFsync, 1);
+    EXPECT_NO_THROW(rig.follower->pump());
+  }
+  EXPECT_EQ(rig.follower->stats().apply_failures, 1u);
+  EXPECT_EQ(rig.follower->stats().generation, 0u);
+  EXPECT_EQ(rig.follower->stats().opens_applied, 0u);
+  EXPECT_EQ(read_generation_file(follower_dir), 0u);
+
+  // The leader redelivers; the term is persisted, then adopted.
+  auto next = shared_grid(13, 12);
+  rig.leader->submit_update(id, next, diff_graphs(*prev, *next));
+  rig.settle();
+  expect_converged(rig, id);
+  EXPECT_EQ(rig.follower->stats().opens_applied, 1u);
+  EXPECT_EQ(rig.follower->stats().generation, 1u);
+  EXPECT_EQ(read_generation_file(follower_dir), 1u);
+
+  // Promotion persists its new term before adopting it as well.
+  {
+    ScopedFaultInjection scope(FaultSite::kWalFsync, 1);
+    EXPECT_THROW(rig.follower->promote(), IoError);
+  }
+  EXPECT_EQ(rig.follower->stats().generation, 1u);
+  EXPECT_FALSE(rig.follower->stats().promoted);
+  EXPECT_EQ(read_generation_file(follower_dir), 1u);
+  EXPECT_EQ(rig.follower->promote().generation, 2u);
+  EXPECT_EQ(read_generation_file(follower_dir), 2u);
+}
+
 TEST(Replication, DivergenceFailStopsWithTypedError) {
   const PartId k = 3;
   Rig rig("diverge", {}, [](const std::string& dir) {

@@ -18,9 +18,11 @@
 #include "common/rng.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/generators.hpp"
+#include "graph/mesh.hpp"
 #include "graph/partition.hpp"
 #include "service/refine_policy.hpp"
 #include "service/session.hpp"
+#include "spectral/rsb.hpp"
 #include "test_util.hpp"
 
 namespace gapart {
@@ -237,6 +239,33 @@ TEST(PartitionSession, ChurnStreamRepairsRewiredWindows) {
   }
 }
 
+TEST(PartitionSession, RetriangulatedMeshRepairMatchesMetrics) {
+  // densify_mesh re-triangulates, so survivors near the refinement disc are
+  // rewired, not only joined to new vertices.  One repair of that delta
+  // through diff_graphs must leave the maintained state equal to a
+  // from-scratch recomputation.
+  const PartId k = 4;
+  const Mesh base = paper_mesh(183);
+  const Mesh grown = paper_incremental_mesh(base, 183, 60);
+  Rng rng(3);
+  auto g = std::make_shared<const Graph>(base.graph);
+  PartitionSession session(g, rsb_partition(base.graph, k, rng),
+                           basic_config(k));
+  auto next = std::make_shared<const Graph>(grown.graph);
+  const GraphDelta delta = diff_graphs(*g, *next);
+  ASSERT_GT(delta.touched_old.size(), 0u);
+
+  const RepairReport rep = session.apply_update(next, delta);
+  EXPECT_EQ(rep.extend_moves, 60);
+  EXPECT_EQ(rep.damage, delta.damage(*next));
+  const auto snap = session.snapshot();
+  expect_snapshot_consistent(*snap, k);
+  EXPECT_NEAR(rep.fitness_after,
+              evaluate_fitness(*next, snap->assignment, k, {}), 1e-9);
+  EXPECT_EQ(session.state_digest(),
+            assignment_content_hash(*next, snap->assignment, k));
+}
+
 TEST(PartitionSession, MismatchedDeltaRejected) {
   const PartId k = 2;
   auto g = shared_grid(6, 6);
@@ -245,7 +274,7 @@ TEST(PartitionSession, MismatchedDeltaRejected) {
   GraphDelta wrong;
   wrong.old_num_vertices = 35;  // session has 36
   EXPECT_THROW(session.apply_update(grown, wrong), Error);
-  EXPECT_THROW(session.apply_update(nullptr, appended_delta(*grown, 36)),
+  EXPECT_THROW(session.apply_update(nullptr, diff_graphs(*g, *grown)),
                Error);
 }
 
@@ -363,6 +392,45 @@ TEST(PartitionSession, RefinementIndependentOfPoolWidth) {
           << tier.name << ", " << threads << " threads";
     }
   }
+}
+
+TEST(PartitionSession, DeepFlatRefinementNeverWorseThanRepairedSeed) {
+  // The §3.5 incremental GA as the session runs it: a fully repaired
+  // partition seeds the flat DPGA burst, which may find nothing better but
+  // must never hand back something worse.
+  const PartId k = 4;
+  const Mesh base = paper_mesh(183);
+  const Mesh grown = paper_incremental_mesh(base, 183, 60);
+  Rng rng(5);
+  SessionConfig cfg = basic_config(k);
+  cfg.repair_budget_seconds = 60.0;  // never binds in a test
+  cfg.policy.damage_threshold = 1;
+  cfg.policy.deep_damage_threshold = 1;
+  cfg.policy.vcycle_min_vertices = 0;  // flat-routed deep tier
+  cfg.deep.dpga.ga.max_generations = 20;
+  auto g = std::make_shared<const Graph>(base.graph);
+  PartitionSession session(g, rsb_partition(base.graph, k, rng), cfg);
+  auto next = std::make_shared<const Graph>(grown.graph);
+  session.apply_update(next, diff_graphs(*g, *next));
+  const double repaired = session.snapshot()->fitness;
+
+  auto job = session.plan_refinement();
+  ASSERT_TRUE(job.has_value());
+  EXPECT_EQ(job->depth, RefineDepth::kDeep);
+  EXPECT_EQ(job->fitness, repaired);
+  RefineOutcome out;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    out = run_refinement(*job, cfg, Rng(seed), nullptr);
+    EXPECT_GE(out.fitness, repaired) << "seed " << seed;
+    EXPECT_NEAR(out.fitness,
+                evaluate_fitness(*next, out.assignment, k, cfg.fitness), 1e-6)
+        << "seed " << seed;
+  }
+  session.complete_refinement(*job, std::move(out.assignment), out.fitness,
+                              out.full_evaluations, out.delta_evaluations);
+  const auto snap = session.snapshot();
+  expect_snapshot_consistent(*snap, k);
+  EXPECT_GE(snap->fitness, repaired);
 }
 
 TEST(PartitionSession, StaleRefinementIsDiscarded) {
@@ -668,7 +736,7 @@ TEST(PartitionService, UnknownSessionIdsThrow) {
   service_config.num_threads = 1;
   PartitionService service(service_config);
   auto g = shared_grid(4, 4);
-  EXPECT_THROW(service.submit_update(99, g, appended_delta(*g, 16)), Error);
+  EXPECT_THROW(service.submit_update(99, g, GraphDelta{16, {}}), Error);
   EXPECT_THROW(service.snapshot(99), Error);
   EXPECT_THROW(service.session_stats(99), Error);
 }

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <sstream>
 #include <string>
@@ -397,6 +398,36 @@ class JsonCursor {
   const std::string& s_;
   std::size_t pos_ = 0;
 };
+
+TEST(TelemetryRegistry, JsonDumpRoundTripsDoublesExactly) {
+  // Doubles print as shortest round-trip text: default ostream precision
+  // would dump this sum as 1.23457e+06.
+  auto& reg = TelemetryRegistry::instance();
+  const double gauge_value = 0.1 + 0.2;  // 0.30000000000000004
+  reg.gauge("test.dump.exact.gauge").set(gauge_value);
+  auto& h = reg.histogram("test.dump.exact.hist");
+  h.reset();
+  h.record(1234567.891);
+
+  std::ostringstream json;
+  reg.write_json(json);
+  const std::string j = json.str();
+  // The number right after `key` (searched from `from`), parsed back.
+  const auto number_after = [&j](const std::string& from,
+                                 const std::string& key) {
+    const std::size_t at = j.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    const std::size_t k = j.find(key, at);
+    EXPECT_NE(k, std::string::npos) << key;
+    return std::strtod(j.c_str() + k + key.size(), nullptr);
+  };
+  EXPECT_EQ(number_after("\"test.dump.exact.gauge\"", ":"), gauge_value);
+  EXPECT_EQ(number_after("\"test.dump.exact.hist\"", "\"sum\":"),
+            1234567.891);
+  EXPECT_EQ(number_after("\"test.dump.exact.hist\"", "\"max\":"),
+            1234567.891);
+  EXPECT_TRUE(JsonCursor(j).valid_value());
+}
 
 TEST(Tracer, ExportIsSchemaValidJsonWithRequiredFields) {
   Tracer& tracer = Tracer::instance();
