@@ -3,11 +3,12 @@
 // Three modes, wired together by scripts/chaos_kill_recover.sh:
 //
 //   --follow   binds the socket, accepts the leader, and tail-replays its
-//              stream (continuous recovery).  When the leader dies — EOF on
-//              the socket, e.g. kill -9 — it drains whatever was already
-//              shipped, promotes itself (fencing generation bump), and
-//              prints one "PROMOTED session=<id> epoch=<e> digest=<d>
-//              generation=<g>" line per session.  Exits 3 on divergence.
+//              stream (continuous recovery).  When the leader dies — EOF
+//              or a reset on the socket, e.g. kill -9 — it drains whatever
+//              was already shipped, promotes itself (fencing generation
+//              bump), and prints one "PROMOTED session=<id> epoch=<e>
+//              digest=<d> generation=<g>" line per session.  Exits 3 on
+//              divergence.
 //
 //   --lead     connects, opens a durable session, and streams the same
 //              deterministic churn trace durable_service uses.  "ACK <e>"
@@ -201,8 +202,10 @@ int run_follower(const std::string& socket_path, const std::string& dir,
   std::fflush(stdout);
 
   try {
-    // Tail until the leader goes away (orderly close or kill -9 both end in
-    // EOF), then keep pumping until the drained queue is empty.
+    // Tail until the leader goes away (an orderly close ends in EOF; kill -9
+    // ends in EOF, or in a reset when acks sat unread in the leader's
+    // buffer — the transport reports both as peer_closed), then keep
+    // pumping until the drained queue is empty.
     while (!link->peer_closed()) follower.pump(0.2);
     while (follower.pump(0.0) > 0) {
     }

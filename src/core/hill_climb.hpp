@@ -25,7 +25,9 @@
 // then costs O(damage), and the usual full-boundary verification rounds
 // (unless disabled) restore the sweep fixed-point class.  This is the
 // damage-proportional repair primitive behind PartitionSession::apply_update
-// (service/session.hpp).
+// (service/session.hpp), whose kTotalComm verification instead drains
+// PartitionState's part-pair gain index (candidate_snapshot) and never
+// rescans the boundary.
 #pragma once
 
 #include <atomic>

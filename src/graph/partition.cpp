@@ -244,6 +244,12 @@ void PartitionState::move(VertexId v, PartId to) {
   ext_deg_[static_cast<std::size_t>(v)] = ext_after;
   sync_frontier(v);
 
+  // Every key that read v's part: v's own and its neighbours'.
+  if (gain_.index) {
+    gain_.index->rekey(*g_, assign_, v);
+    for (const VertexId u : nbrs) gain_.index->rekey(*g_, assign_, u);
+  }
+
   // Max-cut cache: O(1) refresh, unless the arg-max part shrank.
   if (!max_cut_dirty_) {
     if (max_cut_part_ == from || max_cut_part_ == to) {
@@ -342,6 +348,14 @@ void PartitionState::rebind_grown(const Graph& grown,
   };
   for (const VertexId v : touched_old) readd(v);
   for (VertexId v = n_old; v < n_new; ++v) readd(v);
+  // Only damaged rows changed, and every neighbour of a changed row is
+  // damaged too, so the damage set holds every key that moved.
+  if (gain_.index) {
+    for (const VertexId v : touched_old) gain_.index->rekey(grown, assign_, v);
+    for (VertexId v = n_old; v < n_new; ++v) {
+      gain_.index->rekey(grown, assign_, v);
+    }
+  }
 
   // Derived O(k) state: the mean load moved with the total weight, so the
   // imbalance term is recomputed wholesale rather than patched per part.
@@ -461,6 +475,45 @@ BestMove PartitionState::best_move(VertexId v, const FitnessParams& params,
   }
   if (best.to >= 0) best.gain = best_gain;
   return best;
+}
+
+PartPairGainIndex& PartitionState::gain_index(const FitnessParams& params) {
+  GAPART_REQUIRE(params.objective == Objective::kTotalComm,
+                 "the gain index needs the total-communication objective: "
+                 "the max-cut term does not split by part pair");
+  if (!gain_.index || gain_.index->lambda() != params.lambda) {
+    gain_.index = std::make_unique<PartPairGainIndex>(
+        *g_, assign_, num_parts_, params.lambda, frontier_);
+  }
+  return *gain_.index;
+}
+
+std::vector<PartPairGainIndex::Candidate> PartitionState::candidate_snapshot(
+    const FitnessParams& params, double min_gain) {
+  std::vector<PartPairGainIndex::Candidate> out;
+  gain_index(params).collect(*g_, part_weight_, comm_scale(params), min_gain,
+                             out);
+  std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
+    return x.v != y.v ? x.v < y.v : x.pair < y.pair;
+  });
+  return out;
+}
+
+bool PartitionState::may_still_improve(const PartPairGainIndex::Candidate& c,
+                                       const FitnessParams& params,
+                                       double min_gain) const {
+  GAPART_ASSERT(gain_.index != nullptr);
+  return gain_.index->still_passes(*g_, c, part_weight_, comm_scale(params),
+                                   min_gain);
+}
+
+std::vector<VertexId> PartitionState::improving_candidates(
+    const FitnessParams& params, double min_gain) {
+  std::vector<VertexId> out;
+  for (const auto& c : candidate_snapshot(params, min_gain)) {
+    if (out.empty() || out.back() != c.v) out.push_back(c.v);
+  }
+  return out;
 }
 
 double PartitionState::move_gain(VertexId v, PartId to,

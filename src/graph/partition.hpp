@@ -14,12 +14,15 @@
 // Fitness1 experiments and max_q C(q) for Fitness2 experiments.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "graph/connectivity_scratch.hpp"
+#include "graph/gain_index.hpp"
 #include "graph/graph.hpp"
 #include "graph/types.hpp"
 
@@ -96,6 +99,15 @@ struct BestMove {
 ///     pattern, which survives as thin wrappers.
 ///   * is_boundary() is an O(1) flag lookup and frontier() exposes the live
 ///     boundary worklist, so local search never rescans interior vertices.
+///   * improving_candidates() / candidate_snapshot() answer "which vertices
+///     can still improve?" (kTotalComm) from a part-pair gain index
+///     (graph/gain_index.hpp) in O(k^2 + output) instead of a boundary
+///     scan — what lets the session verify a repair in time that follows
+///     the moves, not the boundary.  The index is built on the first call,
+///     O(boundary * deg); from then on move() re-keys the mover and its
+///     neighbours and rebind_grown() the damage set.  A state that never
+///     asks (GA offspring, V-cycle levels, KL, refinement jobs) pays one
+///     null check per move.
 /// All derived quantities always match a from-scratch compute_metrics()
 /// (fuzz-tested).  With integer vertex/edge weights (the paper's setting)
 /// every maintained quantity and gain is bit-identical to the pre-kernel
@@ -158,6 +170,33 @@ class PartitionState {
   /// O(deg(v) + k_adjacent), plus O(num_parts) once under kWorstComm.
   BestMove best_move(VertexId v, const FitnessParams& params,
                      double min_gain = 0.0) const;
+
+  /// Every boundary vertex that may hold a move with gain above `min_gain`
+  /// (>= 0) under params (kTotalComm only), ascending: a superset of
+  /// {v : best_move(v, params, min_gain).to >= 0}, which best_move then
+  /// judges.  Built from the part-pair gain index, so one call costs
+  /// O(k^2 + output) once the index exists (the first call builds it,
+  /// O(boundary * deg)).  A pure function of (graph, assignment, part
+  /// weights): a state rebuilt from a snapshot returns the same set, however
+  /// either index was grown.  With unit weights and an integral lambda it
+  /// leaves out exact ties (gain 0); otherwise ties within a rounding slack
+  /// are in.  Empty means a certified local optimum: no vertex can improve.
+  std::vector<VertexId> improving_candidates(const FitnessParams& params,
+                                             double min_gain);
+
+  /// The entries behind improving_candidates(), sorted by vertex then part
+  /// pair (a vertex appears once per part it may improve toward): the
+  /// snapshot one verification sweep walks in ascending vertex order,
+  /// re-checking each entry with may_still_improve() before probing it.
+  std::vector<PartPairGainIndex::Candidate> candidate_snapshot(
+      const FitnessParams& params, double min_gain);
+
+  /// Whether a snapshot entry may still improve after the moves made since
+  /// it was taken: O(1), false only when its vertex's keys are unchanged and
+  /// its key no longer clears its pair's threshold.  Same params and
+  /// min_gain as the snapshot.
+  bool may_still_improve(const PartPairGainIndex::Candidate& c,
+                         const FitnessParams& params, double min_gain) const;
 
   /// Fitness delta that move(v, to) would produce, without applying it.
   /// Thin wrapper over the gain kernel; O(deg(v) + num_parts).
@@ -242,6 +281,31 @@ class PartitionState {
   /// Syncs the boundary flag / frontier membership of u with ext_deg_[u].
   void sync_frontier(VertexId u);
 
+  /// The gain index for params, built on first use (or when lambda
+  /// changed).
+  PartPairGainIndex& gain_index(const FitnessParams& params);
+  /// |imbalance| + |lambda| * sum of part cuts: the magnitude best_move's
+  /// gains are differences of, which sizes the index's rounding slack.
+  double comm_scale(const FitnessParams& params) const {
+    return std::abs(imbalance_sq_) + std::abs(params.lambda) * sum_part_cut_;
+  }
+
+  /// Owner of the lazily built gain index.  A copy of the state starts
+  /// without one: the index is a cache of (graph, assignment), rebuilt on
+  /// the next improving_candidates() call.
+  struct LazyGainIndex {
+    std::unique_ptr<PartPairGainIndex> index;
+    LazyGainIndex() = default;
+    LazyGainIndex(const LazyGainIndex&) {}
+    LazyGainIndex& operator=(const LazyGainIndex&) {
+      index.reset();
+      return *this;
+    }
+    LazyGainIndex(LazyGainIndex&&) noexcept = default;
+    LazyGainIndex& operator=(LazyGainIndex&&) noexcept = default;
+    ~LazyGainIndex() = default;
+  };
+
   const Graph* g_;
   PartId num_parts_;
   Assignment assign_;
@@ -267,6 +331,7 @@ class PartitionState {
   // Reusable kernel scratch (see class comment re: thread safety).
   mutable ConnectivityScratch conn_;
   EpochFlags visit_flags_;
+  LazyGainIndex gain_;
 };
 
 }  // namespace gapart

@@ -1,11 +1,14 @@
 #include "service/replication.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <string_view>
+#include <system_error>
 #include <utility>
 
 #include "common/assert.hpp"
@@ -132,10 +135,34 @@ OpenPayload decode_open_payload(const std::string& payload) try {
 }
 
 std::uint64_t read_generation_file(const std::string& dir) {
-  std::ifstream in(generation_path(dir));
+  // Fail closed: only a missing file means "never fenced".  A term that is
+  // there but unreadable must not read as 0, or a deposed leader would pass
+  // its stale-term check and a follower would forget its fence.
+  const std::string path = generation_path(dir);
+  std::error_code ec;
+  const auto status = std::filesystem::status(path, ec);
+  if (status.type() == std::filesystem::file_type::not_found) return 0;
+  if (ec || status.type() != std::filesystem::file_type::regular) {
+    throw ReplicationError("cannot read fencing term " + path +
+                           (ec ? ": " + ec.message() : ": not a file"));
+  }
+  std::ifstream in(path, std::ios::binary);
+  std::string text((std::istreambuf_iterator<char>(in)),
+                   std::istreambuf_iterator<char>());
+  if (!in.is_open() || in.bad()) {
+    throw ReplicationError("cannot read fencing term " + path);
+  }
+  // Exactly one decimal u64, as write_generation_file leaves it.
+  std::string_view digits = text;
+  if (!digits.empty() && digits.back() == '\n') digits.remove_suffix(1);
   std::uint64_t generation = 0;
-  if (in >> generation) return generation;
-  return 0;
+  const char* end = digits.data() + digits.size();
+  const auto [ptr, err] = std::from_chars(digits.data(), end, generation);
+  if (digits.empty() || err != std::errc{} || ptr != end) {
+    throw ReplicationError("fencing term " + path +
+                           " is not one decimal u64: \"" + text + "\"");
+  }
+  return generation;
 }
 
 void write_generation_file(const std::string& dir, std::uint64_t generation) {

@@ -122,8 +122,11 @@ struct OpenPayload {
 std::string encode_open_payload(const OpenPayload& open);
 OpenPayload decode_open_payload(const std::string& payload);  // throws
 
-/// The GENERATION fencing term persisted in a service's durability dir
-/// (0 when absent).  Exposed for tests and the chaos tooling.
+/// The GENERATION fencing term persisted in a service's durability dir: 0
+/// only when the file is absent.  A file that cannot be read, or that is
+/// not exactly one decimal u64 (an optional trailing newline aside), throws
+/// ReplicationError — fencing fails closed.  Exposed for tests and the
+/// chaos tooling.
 std::uint64_t read_generation_file(const std::string& dir);
 /// Durably replaces the GENERATION file (write_file_atomic: fsynced file and
 /// directory).  Throws IoError on failure, leaving the old term readable.
@@ -174,7 +177,8 @@ struct ShipperStats {
 class ReplicationShipper {
  public:
   /// Persists config.generation into the leader's GENERATION file; throws
-  /// ReplicationError when the file already holds a larger term.
+  /// ReplicationError when the file already holds a larger term or cannot
+  /// be read (read_generation_file).
   ReplicationShipper(PartitionService& service, Transport& link,
                      ShipperConfig config = {});
   ~ReplicationShipper();
@@ -305,6 +309,9 @@ struct PromotionReport {
 /// policy.
 class ReplicationFollower {
  public:
+  /// Starts at the larger of config.generation and a durable service's
+  /// GENERATION file; throws ReplicationError when that file cannot be
+  /// read (read_generation_file).
   ReplicationFollower(PartitionService& service, Transport& link,
                       FollowerConfig config = {});
 

@@ -103,42 +103,46 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   graph_ = std::move(grown);
   rep.extend_moves = static_cast<int>(new_parts.size());
 
-  // Tier 2: strictly damage-proportional seeded cascade first, then
-  // O(boundary) verification rounds only while the latency budget lasts —
-  // deeper quality is the background refinement plane's job.
+  // Tier 2: verification rounds while the latency budget lasts, preceded
+  // by the seeded cascade unless a kTotalComm round does its job — deeper
+  // quality is the background refinement plane's job.  Replay runs exactly
+  // the round count the live run logged (the budget clock is the one
+  // nondeterministic input to the pipeline); shedding runs none.  A round's
+  // certified exit is itself deterministic, so it stays in both paths.
+  const int max_rounds =
+      opts.replay_verify_rounds >= 0
+          ? std::min(opts.replay_verify_rounds,
+                     config_.repair_max_verify_rounds)
+          : (opts.shed_verification ? 0 : config_.repair_max_verify_rounds);
+  const auto admit_round = [&] {
+    return rep.verify_rounds < max_rounds &&
+           (opts.replay_verify_rounds >= 0 ||
+            timer.seconds() < config_.repair_budget_seconds);
+  };
   HillClimbOptions opt;
   opt.fitness = config_.fitness;
   opt.gain_ordered = true;
   opt.verify_fixed_point = false;
-  {
+  // Admission of the first round is decided once, before the cascade, so
+  // the logged round count alone tells replay which path ran.  A kTotalComm
+  // round drains every vertex that can still improve — the damaged ones
+  // included — so it replaces the damage-proportional seeded cascade, which
+  // probes the whole one-hop neighbourhood of the damage (hubs included)
+  // to find the few that move.
+  const bool admitted = admit_round();
+  if (!admitted || config_.fitness.objective != Objective::kTotalComm) {
     GAPART_SPAN("repair.cascade");
     const auto res =
         hill_climb_from(state_, repair_seeds(delta, *graph_), opt);
     rep.repair_moves += res.moves;
     rep.examined += res.examined;
   }
-
-  opt.mode = HillClimbMode::kFrontier;  // unseeded: one full round + cascade
-  // Replay runs exactly the round count the live run logged (the budget
-  // clock is the one nondeterministic input to the pipeline); shedding runs
-  // none.  The moves == 0 early exit is itself deterministic, so it stays in
-  // both paths.
-  const int max_rounds =
-      opts.replay_verify_rounds >= 0
-          ? std::min(opts.replay_verify_rounds,
-                     config_.repair_max_verify_rounds)
-          : (opts.shed_verification ? 0 : config_.repair_max_verify_rounds);
-  if (max_rounds > 0) {
+  if (admitted) {
     GAPART_SPAN("repair.verify");
-    while (rep.verify_rounds < max_rounds &&
-           (opts.replay_verify_rounds >= 0 ||
-            timer.seconds() < config_.repair_budget_seconds)) {
-      const auto vres = hill_climb(state_, opt);
+    do {
       ++rep.verify_rounds;
-      rep.repair_moves += vres.moves;
-      rep.examined += vres.examined;
-      if (vres.moves == 0) break;  // verified fixed point
-    }
+      if (verify_round(opt, rep)) break;  // certified local optimum
+    } while (admit_round());
   }
   rep.seconds = timer.seconds();
 
@@ -181,6 +185,49 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
 
   publish("repair");
   return rep;
+}
+
+bool PartitionSession::verify_round(const HillClimbOptions& opt,
+                                    RepairReport& rep) {
+  if (config_.fitness.objective == Objective::kWorstComm) {
+    // The max-cut term couples every part, so there is no per-pair index:
+    // one full-boundary frontier round plus its cascade.
+    HillClimbOptions full = opt;
+    full.mode = HillClimbMode::kFrontier;
+    const auto res = hill_climb(state_, full);
+    rep.repair_moves += res.moves;
+    rep.examined += res.examined;
+    return res.moves == 0;
+  }
+  // Drain in ascending sweeps: snapshot the candidates, then probe each in
+  // vertex order and move it when best_move finds a gain.  A candidate that
+  // earlier moves of the sweep ruled out (its key no longer clears its
+  // pair's threshold) is skipped without a probe: right after an extension
+  // the part weights make thousands of vertices candidates, and a few moves
+  // restore the balance.  A sweep that moves nothing changed nothing, so it
+  // probed every candidate: the state is a certified local optimum.
+  const FitnessParams& params = config_.fitness;
+  for (;;) {
+    const auto snapshot = state_.candidate_snapshot(params, opt.min_gain);
+    bool moved = false;
+    for (std::size_t i = 0; i < snapshot.size();) {
+      const VertexId v = snapshot[i].v;
+      bool may_improve = false;
+      for (; i < snapshot.size() && snapshot[i].v == v; ++i) {
+        may_improve = may_improve ||
+                      state_.may_still_improve(snapshot[i], params,
+                                               opt.min_gain);
+      }
+      if (!may_improve) continue;
+      ++rep.examined;
+      const BestMove best = state_.best_move(v, params, opt.min_gain);
+      if (best.to < 0) continue;
+      state_.move(v, best.to);
+      ++rep.repair_moves;
+      moved = true;
+    }
+    if (!moved) return true;
+  }
 }
 
 void PartitionSession::publish(const char* source) {

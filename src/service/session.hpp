@@ -12,10 +12,16 @@
 //             weights so it costs O(new * deg), not O(V);
 //     rebind  PartitionState::rebind_grown absorbs the new graph in
 //             O(damage * deg) — no O(V+E) state rebuild per delta;
-//     tier 2  worklist-seeded frontier climb from the delta's repair seeds
-//             (unverified: strictly damage-proportional), then full-boundary
-//             verification rounds only while the configured latency budget
-//             allows — an adaptive cost/quality knob per update.
+//     tier 2  verification rounds while the configured latency budget
+//             allows — an adaptive cost/quality knob per update.  Under
+//             kTotalComm one round drains the state's part-pair gain index
+//             in ascending sweeps until no vertex can improve (a certified
+//             local optimum; probes follow the moves, not the boundary); it
+//             replaces the seeded cascade.
+//             Without an admitted round, or under kWorstComm, a
+//             worklist-seeded frontier climb from the delta's repair seeds
+//             (strictly damage-proportional) runs first, and kWorstComm
+//             rounds are full-boundary frontier passes.
 //
 //   asynchronous (plan_refinement / run_refinement / complete_refinement,
 //   service-scheduled on the shared Executor):
@@ -47,6 +53,7 @@
 #include "common/telemetry.hpp"
 #include "core/dpga.hpp"
 #include "core/graph_delta.hpp"
+#include "core/hill_climb.hpp"
 #include "core/vcycle_ga.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"
@@ -63,14 +70,20 @@ struct SessionConfig {
   // light refinement climb are gain-ordered frontier climbs at
   // HillClimbOptions' default min_gain.
 
-  /// Latency budget for one apply_update call: after the damage-proportional
-  /// cascade, O(boundary) verification rounds run only while the elapsed
-  /// repair time stays under this budget (0 = cascade only — the strictest
-  /// latency regime, leaving verification to background refinement).  The
-  /// budget gates ENTRY to a round; an admitted round runs to completion, so
-  /// one update can overshoot by up to a round + its cascade.
+  /// Latency budget for one apply_update call: verification rounds run only
+  /// while the elapsed repair time stays under this budget (0 = the seeded
+  /// cascade only — the strictest latency regime, leaving verification to
+  /// background refinement).  The budget gates ENTRY to a round; an
+  /// admitted round runs to completion.  Under kTotalComm a round drains
+  /// the gain index until no vertex can improve: it probes the candidates
+  /// the index reports, O(k^2 + candidates) per sweep, so its cost follows
+  /// the moves the damage causes, not the boundary, and one round always
+  /// ends at a certified local optimum.
+  /// Under kWorstComm a round is a full-boundary frontier pass plus its
+  /// cascade, O(boundary), certified when it moves nothing.
   double repair_budget_seconds = 0.0;
-  /// Hard cap on verification rounds even when the budget allows more.
+  /// Hard cap on verification rounds even when the budget allows more (a
+  /// kTotalComm update never needs a second one; 0 = no verification).
   int repair_max_verify_rounds = 4;
 
   /// Background-refinement trigger policy.
@@ -129,7 +142,11 @@ struct RepairReport {
   int extend_moves = 0;         ///< new vertices assigned (tier 1)
   int repair_moves = 0;         ///< migrations (tier 2, incl. verification)
   std::int64_t examined = 0;    ///< gain-kernel probes
-  int verify_rounds = 0;        ///< rounds the latency budget admitted
+  /// Verification rounds the latency budget admitted (logged in the WAL
+  /// record's flags so replay runs the same): 0 or 1 under kTotalComm,
+  /// where one round drains to a certified local optimum; up to the cap
+  /// under kWorstComm, one full-boundary pass each.
+  int verify_rounds = 0;
   double seconds = 0.0;         ///< wall time of the whole call
   double fitness_after = 0.0;
 };
@@ -332,6 +349,10 @@ class PartitionSession {
   /// Checkpoints the state and truncates the log; false when the snapshot
   /// write failed, leaving the log intact (mu_ held, wal_ attached).
   bool compact_locked();
+  /// One admitted verification round (mu_ held); true when it ends at a
+  /// certified local optimum.  kTotalComm drains the gain index's
+  /// improving candidates; kWorstComm runs one full-boundary frontier round.
+  bool verify_round(const HillClimbOptions& opt, RepairReport& rep);
   /// Publishes the current state as the newest snapshot (mu_ held).
   void publish(const char* source);
   RefineSignals signals() const;  // mu_ held

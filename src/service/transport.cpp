@@ -306,14 +306,14 @@ std::optional<std::string> SocketTransport::receive(double timeout_seconds) {
 
     char buf[65536];
     const ssize_t n = ::read(fd_, buf, sizeof(buf));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("read");
-    }
-    if (n == 0) {
-      peer_closed_ = true;  // EOF; a torn carry_ tail was never a full frame
+    if (n < 0 && errno == EINTR) continue;
+    // A reset is the peer going away too: a process killed with unread
+    // bytes in its receive buffer closes with RST, not FIN.
+    if (n == 0 || (n < 0 && errno == ECONNRESET)) {
+      peer_closed_ = true;  // a torn carry_ tail was never a full frame
       return std::nullopt;
     }
+    if (n < 0) throw_errno("read");
     carry_.append(buf, static_cast<std::size_t>(n));
   }
 }

@@ -54,8 +54,8 @@ class Transport {
   /// peer has closed and the queue is drained — check peer_closed().
   virtual std::optional<std::string> receive(double timeout_seconds) = 0;
 
-  /// True once the other endpoint has closed (EOF) — a drained receive()
-  /// will never yield another frame.
+  /// True once the other endpoint has closed (EOF, or a connection reset)
+  /// — a drained receive() will never yield another frame.
   virtual bool peer_closed() const = 0;
 
   /// Closes this endpoint; the peer observes EOF after draining.

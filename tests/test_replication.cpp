@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <new>
 #include <string>
@@ -427,6 +428,51 @@ TEST(Replication, GenerationFileIsFsyncedBeforeItReplacesTheOldTerm) {
   EXPECT_EQ(read_generation_file(dir), 4u);
   write_generation_file(dir, 5);
   EXPECT_EQ(read_generation_file(dir), 5u);
+}
+
+TEST(Replication, GenerationFileReadsZeroOnlyWhenAbsent) {
+  const std::string dir = fresh_dir("generation_parse");
+  fs::create_directories(dir);
+  EXPECT_EQ(read_generation_file(dir), 0u);  // absent: never fenced
+  const std::string path = dir + "/GENERATION";
+  const auto put = [&path](const std::string& text) {
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << text;
+  };
+  put("7\n");
+  EXPECT_EQ(read_generation_file(dir), 7u);
+  put("18446744073709551615");
+  EXPECT_EQ(read_generation_file(dir), 18446744073709551615u);
+  for (const std::string bad :
+       {"", "\n", "abc", "7x", "x7", " 7", "7 ", "-1", "+7", "7\n\n",
+        "18446744073709551616"}) {
+    put(bad);
+    EXPECT_THROW(read_generation_file(dir), ReplicationError)
+        << "contents \"" << bad << "\"";
+  }
+  // A GENERATION that exists but cannot be read as a file.
+  fs::remove(path);
+  fs::create_directory(path);
+  EXPECT_THROW(read_generation_file(dir), ReplicationError);
+}
+
+TEST(Replication, UnreadableTermStopsShipperAndFollower) {
+  Rig rig("unreadable_term");
+  const std::string leader_dir = rig.leader->config().durability.dir;
+  const std::string follower_dir =
+      rig.follower_service->config().durability.dir;
+  std::ofstream(leader_dir + "/GENERATION", std::ios::trunc) << "garbage";
+  ShipperConfig sc;
+  sc.generation = 5;
+  EXPECT_THROW(ReplicationShipper(*rig.leader, *rig.leader_end, sc),
+               ReplicationError);
+  // The refused shipper left the unreadable term in place.
+  EXPECT_THROW(read_generation_file(leader_dir), ReplicationError);
+
+  fs::create_directories(follower_dir);
+  std::ofstream(follower_dir + "/GENERATION", std::ios::trunc) << "3x";
+  EXPECT_THROW(
+      ReplicationFollower(*rig.follower_service, *rig.follower_end, {}),
+      ReplicationError);
 }
 
 TEST(Replication, UnpersistedTermIsNeverAdopted) {

@@ -7,8 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -209,6 +216,52 @@ TEST(TransportSocket, TcpRoundTripAndEof) {
     GTEST_SKIP() << "loopback port " << port << " unavailable";
   }
   exercise_stream_pair(*client, *server);
+}
+
+TEST(TransportSocket, TcpResetReadsAsPeerClosed) {
+  // A peer killed with unread bytes in its receive buffer closes with RST,
+  // not FIN.  An abortive close (SO_LINGER {1, 0}) sends that RST on
+  // purpose: the reader must see the peer gone, not an error.
+  const int port = 38418;  // fixed loopback port; skipped below if busy
+  std::unique_ptr<SocketTransport> server;
+  std::thread accepter([&] {
+    try {
+      server = SocketTransport::listen_tcp(port);
+    } catch (const TransportError&) {
+      // bind failed (port in use); the client loop below will give up too
+    }
+  });
+  int fd = -1;
+  for (int attempt = 0; attempt < 200 && fd < 0; ++attempt) {
+    fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+      ::close(fd);
+      fd = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  accepter.join();
+  if (fd < 0 || server == nullptr) {
+    if (fd >= 0) ::close(fd);
+    GTEST_SKIP() << "loopback port " << port << " unavailable";
+  }
+  const linger abort_close{1, 0};
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_LINGER, &abort_close,
+                         sizeof(abort_close)),
+            0);
+  ::close(fd);
+
+  std::optional<std::string> got;
+  EXPECT_NO_THROW(got = server->receive(5.0));
+  EXPECT_FALSE(got.has_value());
+  EXPECT_TRUE(server->peer_closed());
+  EXPECT_NO_THROW(got = server->receive(0.0));
+  EXPECT_FALSE(got.has_value());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -89,6 +91,57 @@ inline bool all_parts_used(const Assignment& a, PartId num_parts) {
     if (s == 0) return false;
   }
   return true;
+}
+
+/// Preferential attachment (Barabási–Albert): each vertex of [from, to)
+/// links to m distinct earlier vertices drawn from `ends`, the endpoint
+/// multiset of the edges so far, so targets are picked by degree.  Edges go
+/// to `edges` and their endpoints onto `ends`.  `fractional` draws edge
+/// weights from (0.25, 4) and returns vertex weights drawn the same way
+/// (empty otherwise).
+inline std::vector<double> attach_preferential(
+    std::vector<std::tuple<VertexId, VertexId, double>>& edges,
+    std::vector<VertexId>& ends, VertexId from, VertexId to, int m, Rng& rng,
+    bool fractional = false) {
+  std::vector<double> vertex_weights;
+  for (VertexId v = from; v < to; ++v) {
+    std::vector<VertexId> targets;
+    while (static_cast<int>(targets.size()) < m) {
+      const VertexId t = ends[static_cast<std::size_t>(
+          rng.uniform_int(static_cast<int>(ends.size())))];
+      if (t != v &&
+          std::find(targets.begin(), targets.end(), t) == targets.end()) {
+        targets.push_back(t);
+      }
+    }
+    for (const VertexId t : targets) {
+      edges.emplace_back(v, t, fractional ? 0.25 + 3.75 * rng.uniform() : 1.0);
+      ends.push_back(v);
+      ends.push_back(t);
+    }
+    if (fractional) vertex_weights.push_back(0.25 + 3.75 * rng.uniform());
+  }
+  return vertex_weights;
+}
+
+/// A Barabási–Albert graph on n vertices: an (m+1)-clique, then
+/// attach_preferential for the rest.  `edges` and `ends` come back filled
+/// so a caller can keep growing the same graph.
+inline Graph barabasi_albert_graph(
+    VertexId n, int m, Rng& rng,
+    std::vector<std::tuple<VertexId, VertexId, double>>& edges,
+    std::vector<VertexId>& ends) {
+  for (VertexId u = 0; u <= m; ++u) {
+    for (VertexId v = u + 1; v <= m; ++v) {
+      edges.emplace_back(u, v, 1.0);
+      ends.push_back(u);
+      ends.push_back(v);
+    }
+  }
+  attach_preferential(edges, ends, m + 1, n, m, rng);
+  GraphBuilder b(n);
+  for (const auto& [u, v, w] : edges) b.add_edge(u, v, w);
+  return b.build();
 }
 
 }  // namespace gapart::testing
