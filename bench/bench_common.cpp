@@ -138,6 +138,13 @@ InitFactory incremental_init(const Graph& grown, const Assignment& previous,
   };
 }
 
+void write_rep_stats(JsonWriter& json, const Summary& seconds) {
+  json.field("reps", seconds.count)
+      .field("median_s", seconds.median)
+      .field("p25_s", seconds.p25)
+      .field("p75_s", seconds.p75);
+}
+
 std::string paper_vs(double paper_value, double measured) {
   return format_double(paper_value, 0) + " / " + format_double(measured, 0);
 }

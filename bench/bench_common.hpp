@@ -11,6 +11,10 @@
 //   GAPART_QUICK=1                        (environment, same as --quick)
 // Quick mode shrinks runs/generations so the full bench sweep smoke-tests in
 // seconds; headline numbers should be produced in default mode.
+//
+// The micro benches time every row with repeat() and print their report
+// through one JsonWriter (common/json.hpp), each row carrying its
+// write_rep_stats() fields.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +23,9 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/json.hpp"
+#include "common/stats.hpp"
+#include "common/timer.hpp"
 #include "core/dpga.hpp"
 #include "core/presets.hpp"
 #include "graph/mesh.hpp"
@@ -97,6 +104,43 @@ DamagedGrid damaged_block_grid(VertexId n, PartId k, int damage,
 /// is what makes it the canonical start for growth-trace experiments — the
 /// service tests and bench/soak_service share this one definition.
 Assignment column_bands(VertexId rows, VertexId cols, PartId k);
+
+/// The repetition floor of a row: the paper's 5 runs (§4), 1 under --quick.
+inline int min_reps(bool quick) { return quick ? 1 : 5; }
+
+/// Runs `body(setup())` until `budget_seconds` of wall-clock have passed and
+/// at least `min_reps` times, timing only the body: the summary of its
+/// seconds per run.  The budget covers the untimed setup too, so a row's
+/// wall-clock stays near its budget even when its setup dwarfs the body.
+template <typename Setup, typename Body>
+Summary repeat(double budget_seconds, int min_reps, Setup&& setup,
+               Body&& body) {
+  std::vector<double> seconds;
+  WallTimer wall;
+  while (static_cast<int>(seconds.size()) < min_reps ||
+         wall.seconds() < budget_seconds) {
+    auto input = setup();
+    WallTimer timer;
+    body(input);
+    seconds.push_back(timer.seconds());
+  }
+  return summarize(seconds);
+}
+
+/// repeat() of a body without setup.
+template <typename Body>
+Summary repeat(double budget_seconds, int min_reps, Body&& body) {
+  return repeat(
+      budget_seconds, min_reps, [] { return 0; }, [&](int) { body(); });
+}
+
+/// Total seconds of a repeat() row's timed runs.
+inline double total_seconds(const Summary& s) {
+  return s.mean * static_cast<double>(s.count);
+}
+
+/// Writes `reps`, `median_s`, `p25_s` and `p75_s` into the open object.
+void write_rep_stats(JsonWriter& json, const Summary& seconds);
 
 /// Formats a paper-vs-measured pair like "63 / 58.0".
 std::string paper_vs(double paper_value, double measured);

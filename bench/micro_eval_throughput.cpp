@@ -9,10 +9,13 @@
 //     climbing enabled, serial vs pooled — the number that bounds GA wall
 //     time.
 //
-// Emits a single JSON object so future PRs can track the perf trajectory:
+// Every row repeats until --seconds is spent (at least 5 reps, 1 under
+// --quick); `seconds` and `evaluations` are totals over the reps.  Emits a
+// single JSON object so the perf trajectory can be tracked:
 //   ./bench/micro_eval_throughput [--threads=1,2,4,8] [--quick] > eval.json
 #include <algorithm>
 #include <cstdio>
+#include <iostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,7 +24,6 @@
 #include "common/cli.hpp"
 #include "common/executor.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "core/eval.hpp"
 #include "core/ga_engine.hpp"
 #include "core/init.hpp"
@@ -31,14 +33,25 @@ namespace {
 
 using namespace gapart;
 
-struct Entry {
-  std::string name;
-  int threads = 1;
-  double evals_per_sec = 0.0;
-  double speedup = 1.0;  ///< vs. the serial row of the same family
-  std::int64_t evaluations = 0;
-  double seconds = 0.0;
-};
+/// Writes one row: `evaluations` and `seconds` are totals over the reps of
+/// `timing`; `serial_rate` is the serial row's evals/sec of the same family
+/// (0 for a serial row itself).  Returns this row's evals/sec.
+double write_row(JsonWriter& json, const char* name, int threads,
+                 std::int64_t evaluations, const Summary& timing,
+                 double serial_rate = 0.0) {
+  const double seconds = bench::total_seconds(timing);
+  const double rate = static_cast<double>(evaluations) / seconds;
+  json.begin_object()
+      .field("name", name)
+      .field("threads", threads)
+      .field("evaluations", evaluations)
+      .field("seconds", seconds)
+      .field("evals_per_sec", rate)
+      .field("speedup_vs_serial", serial_rate > 0.0 ? rate / serial_rate : 1.0);
+  bench::write_rep_stats(json, timing);
+  json.end_object();
+  return rate;
+}
 
 /// Defeats dead-code elimination of the measured evaluations.
 void benchmark_sink(const std::vector<double>& results) {
@@ -63,19 +76,15 @@ std::vector<int> parse_thread_list(const std::string& spec) {
   return out;
 }
 
-/// Full evaluations of a pre-built chromosome batch, repeated for ~budget
-/// seconds on `pool` (null = serial loop).
-Entry bench_full(const EvalContext& eval,
-                 const std::vector<Assignment>& batch, Executor* pool,
-                 double budget) {
-  Entry e;
-  e.threads = pool != nullptr ? pool->num_threads() : 1;
+/// Full evaluations of a pre-built chromosome batch, one batch per rep, on
+/// `pool` (null = serial loop).
+double bench_full(JsonWriter& json, const EvalContext& eval,
+                  const std::vector<Assignment>& batch, Executor* pool,
+                  double budget, int min_reps, double serial_rate = 0.0) {
   // Per-index result slots keep the evaluations observable without any
   // cross-thread writes to shared state.
   std::vector<double> results(batch.size(), 0.0);
-  WallTimer timer;
-  std::int64_t evals = 0;
-  while (timer.seconds() < budget) {
+  const Summary timing = bench::repeat(budget, min_reps, [&] {
     if (pool != nullptr) {
       pool->parallel_for(batch.size(), [&](std::size_t i) {
         results[i] = eval.evaluate(batch[i]);
@@ -85,44 +94,40 @@ Entry bench_full(const EvalContext& eval,
         results[i] = eval.evaluate(batch[i]);
       }
     }
-    evals += static_cast<std::int64_t>(batch.size());
-  }
+  });
   benchmark_sink(results);
-  e.seconds = timer.seconds();
-  e.evaluations = evals;
-  e.evals_per_sec = static_cast<double>(evals) / e.seconds;
-  return e;
+  return write_row(json,
+                   pool != nullptr ? "full_eval_pooled" : "full_eval_serial",
+                   pool != nullptr ? pool->num_threads() : 1,
+                   static_cast<std::int64_t>(timing.count * batch.size()),
+                   timing, serial_rate);
 }
 
 /// Delta evaluations: sweep boundary vertices via the single-scan gain
-/// kernel and apply the best move — the hill-climb inner loop.  One "delta"
-/// is one candidate part evaluated, matching the per-part move_gain() count
-/// this bench used before the kernel existed.
-Entry bench_delta(const EvalContext& eval, const Assignment& start,
-                  double budget) {
-  Entry e;
-  e.name = "delta_eval";
+/// kernel and apply the best move — the hill-climb inner loop, one sweep per
+/// rep.  One "delta" is one candidate part evaluated, matching the per-part
+/// move_gain() count this bench used before the kernel existed.
+void bench_delta(JsonWriter& json, const EvalContext& eval,
+                 const Assignment& start, double budget, int min_reps) {
   PartitionState state(eval.graph(), start, eval.num_parts());
-  WallTimer timer;
   std::int64_t deltas = 0;
-  while (timer.seconds() < budget) {
+  const Summary timing = bench::repeat(budget, min_reps, [&] {
     for (VertexId v = 0; v < eval.graph().num_vertices(); ++v) {
       if (!state.is_boundary(v)) continue;
       const BestMove best = state.best_move(v, eval.params(), 0.0);
       deltas += best.candidates;
       if (best.to >= 0) state.move(v, best.to);
     }
-  }
-  e.seconds = timer.seconds();
-  e.evaluations = deltas;
-  e.evals_per_sec = static_cast<double>(deltas) / e.seconds;
-  return e;
+  });
+  write_row(json, "delta_eval", 1, deltas, timing);
 }
 
 /// End-to-end offspring evaluation: GA generations with §3.6 hill climbing,
-/// measuring (full + delta) evaluations per second.
-Entry bench_offspring(const Graph& g, const std::vector<Assignment>& init,
-                      Executor* pool, int generations) {
+/// one whole run per rep, measuring (full + delta) evaluations per second.
+double bench_offspring(JsonWriter& json, const Graph& g,
+                       const std::vector<Assignment>& init, Executor* pool,
+                       int generations, double budget, int min_reps,
+                       double serial_rate = 0.0) {
   GaConfig cfg;
   cfg.num_parts = 8;
   cfg.population_size = 64;
@@ -130,35 +135,16 @@ Entry bench_offspring(const Graph& g, const std::vector<Assignment>& init,
   cfg.hill_climb_fraction = 0.25;
   cfg.max_generations = generations;
 
-  Entry e;
-  e.threads = pool != nullptr ? pool->num_threads() : 1;
-  WallTimer timer;
-  GaEngine engine(g, cfg, init, Rng(42), pool);
-  for (int s = 0; s < generations; ++s) engine.step();
-  e.seconds = timer.seconds();
-  e.evaluations = engine.evaluations();
-  e.evals_per_sec = static_cast<double>(e.evaluations) / e.seconds;
-  return e;
-}
-
-void emit_json(const Graph& g, const std::vector<Entry>& entries) {
-  std::printf("{\n");
-  std::printf("  \"bench\": \"micro_eval_throughput\",\n");
-  std::printf("  \"graph\": {\"vertices\": %lld, \"edges\": %lld},\n",
-              static_cast<long long>(g.num_vertices()),
-              static_cast<long long>(g.num_edges()));
-  std::printf("  \"results\": [\n");
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    const Entry& e = entries[i];
-    std::printf("    {\"name\": \"%s\", \"threads\": %d, "
-                "\"evaluations\": %lld, \"seconds\": %.4f, "
-                "\"evals_per_sec\": %.1f, \"speedup_vs_serial\": %.3f}%s\n",
-                e.name.c_str(), e.threads,
-                static_cast<long long>(e.evaluations), e.seconds,
-                e.evals_per_sec, e.speedup,
-                i + 1 < entries.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  std::int64_t evaluations = 0;
+  const Summary timing = bench::repeat(budget, min_reps, [&] {
+    GaEngine engine(g, cfg, init, Rng(42), pool);
+    for (int s = 0; s < generations; ++s) engine.step();
+    evaluations += engine.evaluations();
+  });
+  return write_row(
+      json, pool != nullptr ? "offspring_eval_pooled" : "offspring_eval_serial",
+      pool != nullptr ? pool->num_threads() : 1, evaluations, timing,
+      serial_rate);
 }
 
 }  // namespace
@@ -183,32 +169,32 @@ int main(int argc, char** argv) {
   }
   const auto init = make_random_population(g.num_vertices(), 8, 16, rng);
 
-  std::vector<Entry> entries;
-
-  Entry serial_full = bench_full(eval, batch, nullptr, budget);
-  serial_full.name = "full_eval_serial";
-  entries.push_back(serial_full);
+  const int min_reps = bench::min_reps(quick);
+  JsonWriter json(std::cout);
+  json.begin_object()
+      .field("bench", "micro_eval_throughput")
+      .key("graph")
+      .begin_object()
+      .field("vertices", g.num_vertices())
+      .field("edges", g.num_edges())
+      .end_object()
+      .key("results")
+      .begin_array();
+  const double serial_full =
+      bench_full(json, eval, batch, nullptr, budget, min_reps);
   for (const int t : thread_list) {
     Executor pool(t);
-    Entry e = bench_full(eval, batch, &pool, budget);
-    e.name = "full_eval_pooled";
-    e.speedup = e.evals_per_sec / serial_full.evals_per_sec;
-    entries.push_back(e);
+    bench_full(json, eval, batch, &pool, budget, min_reps, serial_full);
   }
-
-  entries.push_back(bench_delta(eval, batch.front(), budget));
-
-  Entry serial_off = bench_offspring(g, init, nullptr, generations);
-  serial_off.name = "offspring_eval_serial";
-  entries.push_back(serial_off);
+  bench_delta(json, eval, batch.front(), budget, min_reps);
+  const double serial_off =
+      bench_offspring(json, g, init, nullptr, generations, budget, min_reps);
   for (const int t : thread_list) {
     Executor pool(t);
-    Entry e = bench_offspring(g, init, &pool, generations);
-    e.name = "offspring_eval_pooled";
-    e.speedup = e.evals_per_sec / serial_off.evals_per_sec;
-    entries.push_back(e);
+    bench_offspring(json, g, init, &pool, generations, budget, min_reps,
+                    serial_off);
   }
-
-  emit_json(g, entries);
+  json.end_array().end_object();
+  std::cout << '\n';
   return 0;
 }

@@ -20,16 +20,20 @@
 //             probes / seconds of the whole per-delta repair, so its
 //             damage-proportionality — not just the climb's — is on record.
 //
+// Every row repeats until --seconds is spent (at least 5 reps, 1 under
+// --quick) and reports its reps' median / p25 / p75 seconds; a repair row's
+// `seconds` is its climb time summed over the reps, a pipeline row's the
+// median apply_update.
+//
 //   ./bench/micro_incremental_repair [--seconds=0.2] [--quick] > repair.json
 #include <cstdint>
-#include <cstdio>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
-#include "common/timer.hpp"
 #include "core/graph_delta.hpp"
 #include "core/hill_climb.hpp"
 #include "graph/generators.hpp"
@@ -40,26 +44,9 @@ namespace {
 
 using namespace gapart;
 
-struct RepairRow {
-  std::string method;
-  VertexId n = 0;  // grid side
-  PartId k = 2;
-  int damage = 0;
-  int reps = 0;
-  std::int64_t moves = 0;
-  std::int64_t examined = 0;
-  std::int64_t passes = 0;
-  double seconds = 0.0;
-  double final_fitness = 0.0;
-};
-
-RepairRow bench_repair(const Graph& g, VertexId n, PartId k, int damage,
-                       const std::string& method, double budget) {
-  RepairRow row;
-  row.method = method;
-  row.n = n;
-  row.k = k;
-  row.damage = damage;
+void bench_repair(JsonWriter& json, const Graph& g, VertexId n, PartId k,
+                  int damage, const std::string& method, double budget,
+                  int min_reps) {
   // Same generator as the seeded-repair fuzz tests (bench_common).
   const bench::DamagedGrid d = bench::damaged_block_grid(
       n, k, damage,
@@ -73,45 +60,42 @@ RepairRow bench_repair(const Graph& g, VertexId n, PartId k, int damage,
   if (method == "frontier") opt.mode = HillClimbMode::kFrontier;
   if (method == "sweep") opt.mode = HillClimbMode::kSweep;
 
-  // The budget bounds the whole rep — the O(V+E) PartitionState rebuild
-  // included — so total bench wall-clock stays ~rows x budget even for
-  // methods whose climbs are far cheaper than the rebuild.  `seconds`
-  // reports climb time only (the quantity under measurement).
-  double climb_seconds = 0.0;
-  double elapsed = 0.0;
-  while (elapsed < budget || row.reps == 0) {
-    WallTimer rep_timer;
-    PartitionState state(g, d.start, k);
-    WallTimer timer;
-    const HillClimbResult res = seeded
-                                    ? hill_climb_from(state, d.damaged, opt)
-                                    : hill_climb(state, opt);
-    climb_seconds += timer.seconds();
-    row.moves += res.moves;
-    row.examined += res.examined;
-    row.passes += res.passes;
-    row.final_fitness = state.fitness(opt.fitness);
-    ++row.reps;
-    elapsed += rep_timer.seconds();
-  }
-  row.seconds = climb_seconds;
-  return row;
+  // The O(V+E) PartitionState rebuild is untimed setup but counts against
+  // the budget, so total bench wall-clock stays ~rows x budget even for
+  // methods whose climbs are far cheaper than the rebuild.
+  std::int64_t moves = 0;
+  std::int64_t examined = 0;
+  std::int64_t passes = 0;
+  double fitness = 0.0;
+  const Summary timing = bench::repeat(
+      budget, min_reps, [&] { return PartitionState(g, d.start, k); },
+      [&](PartitionState& state) {
+        const HillClimbResult res = seeded
+                                        ? hill_climb_from(state, d.damaged, opt)
+                                        : hill_climb(state, opt);
+        moves += res.moves;
+        examined += res.examined;
+        passes += res.passes;
+        fitness = state.fitness(opt.fitness);
+      });
+  json.begin_object()
+      .field("method", method)
+      .field("n", n)
+      .field("k", k)
+      .field("damage", damage)
+      .field("moves", moves)
+      .field("examined", examined)
+      .field("passes", passes)
+      .field("seconds", bench::total_seconds(timing))
+      .field("examined_per_rep",
+             static_cast<double>(examined) / static_cast<double>(timing.count))
+      .field("final_fitness", fitness);
+  bench::write_rep_stats(json, timing);
+  json.end_object();
 }
 
-struct PipelineRow {
-  VertexId n = 0;      // base grid side (square)
-  VertexId grow_rows = 0;
-  PartId k = 2;
-  RepairReport repair;
-  double seconds = 0.0;  // the whole apply_update call, publish included
-};
-
-PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
-  PipelineRow row;
-  row.n = n;
-  row.grow_rows = grow_rows;
-  row.k = k;
-
+void bench_pipeline(JsonWriter& json, VertexId n, VertexId grow_rows,
+                    PartId k, double budget, int min_reps) {
   const auto old_g = std::make_shared<const Graph>(make_grid(n, n));
   const auto grown = std::make_shared<const Graph>(make_grid(n + grow_rows, n));
 
@@ -127,50 +111,27 @@ PipelineRow bench_pipeline(VertexId n, VertexId grow_rows, PartId k) {
   cfg.num_parts = k;
   cfg.repair_budget_seconds = 1e9;  // never binds: rounds are capped below
   cfg.repair_max_verify_rounds = 4;
-  PartitionSession session(old_g, std::move(prev), cfg);
   const GraphDelta delta = diff_graphs(*old_g, *grown);
-  WallTimer timer;
-  row.repair = session.apply_update(grown, delta);
-  row.seconds = timer.seconds();
-  return row;
-}
-
-void emit_json(const std::vector<RepairRow>& repair,
-               const std::vector<PipelineRow>& pipeline) {
-  std::printf("{\n");
-  std::printf("  \"bench\": \"micro_incremental_repair\",\n");
-  std::printf("  \"repair\": [\n");
-  for (std::size_t i = 0; i < repair.size(); ++i) {
-    const RepairRow& r = repair[i];
-    std::printf(
-        "    {\"method\": \"%s\", \"n\": %d, \"k\": %d, \"damage\": %d, "
-        "\"reps\": %d, \"moves\": %lld, \"examined\": %lld, "
-        "\"passes\": %lld, \"seconds\": %.4f, \"examined_per_rep\": %.1f, "
-        "\"final_fitness\": %.6f}%s\n",
-        r.method.c_str(), static_cast<int>(r.n), static_cast<int>(r.k),
-        r.damage, r.reps, static_cast<long long>(r.moves),
-        static_cast<long long>(r.examined), static_cast<long long>(r.passes),
-        r.seconds,
-        r.reps > 0 ? static_cast<double>(r.examined) / r.reps : 0.0,
-        r.final_fitness, i + 1 < repair.size() ? "," : "");
-  }
-  std::printf("  ],\n");
-  std::printf("  \"pipeline\": [\n");
-  for (std::size_t i = 0; i < pipeline.size(); ++i) {
-    const PipelineRow& p = pipeline[i];
-    const RepairReport& r = p.repair;
-    std::printf(
-        "    {\"n\": %d, \"grow_rows\": %d, \"k\": %d, \"damage\": %d, "
-        "\"extend_moves\": %d, \"repair_moves\": %d, \"examined\": %lld, "
-        "\"verify_rounds\": %d, \"fitness_after\": %.6f, "
-        "\"seconds\": %.4f}%s\n",
-        static_cast<int>(p.n), static_cast<int>(p.grow_rows),
-        static_cast<int>(p.k), static_cast<int>(r.damage), r.extend_moves,
-        r.repair_moves, static_cast<long long>(r.examined), r.verify_rounds,
-        r.fitness_after, p.seconds,
-        i + 1 < pipeline.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  // A fresh session per rep, opened on the old grid as untimed setup.
+  RepairReport r;
+  const Summary timing = bench::repeat(
+      budget, min_reps, [&] { return PartitionSession(old_g, prev, cfg); },
+      [&](PartitionSession& session) {
+        r = session.apply_update(grown, delta);
+      });
+  json.begin_object()
+      .field("n", n)
+      .field("grow_rows", grow_rows)
+      .field("k", k)
+      .field("damage", r.damage)
+      .field("extend_moves", r.extend_moves)
+      .field("repair_moves", r.repair_moves)
+      .field("examined", r.examined)
+      .field("verify_rounds", r.verify_rounds)
+      .field("fitness_after", r.fitness_after)
+      .field("seconds", timing.median);
+  bench::write_rep_stats(json, timing);
+  json.end_object();
 }
 
 }  // namespace
@@ -185,33 +146,39 @@ int main(int argc, char** argv) {
   std::vector<int> damages =
       quick ? std::vector<int>{8, 64} : std::vector<int>{8, 32, 128, 512};
 
-  std::vector<RepairRow> repair;
+  const int min_reps = bench::min_reps(quick);
+
+  JsonWriter json(std::cout);
+  json.begin_object()
+      .field("bench", "micro_incremental_repair")
+      .key("repair")
+      .begin_array();
   for (const VertexId n : sizes) {
     const Graph g = make_grid(n, n);
     for (const PartId k : {PartId{2}, PartId{16}}) {
       for (const int d : damages) {
         if (d > static_cast<int>(n)) continue;  // keep damage localized
-        repair.push_back(bench_repair(g, n, k, d, "seeded", budget));
-        repair.push_back(bench_repair(g, n, k, d, "seeded_noverify", budget));
+        bench_repair(json, g, n, k, d, "seeded", budget, min_reps);
+        bench_repair(json, g, n, k, d, "seeded_noverify", budget, min_reps);
       }
       // Repartition-style baselines at one representative damage, also the
       // >= 512^2 / k=2 thin-front frontier-vs-sweep datapoint ROADMAP asks
       // to re-measure.
       const int d_rep = quick ? 64 : 128;
-      repair.push_back(bench_repair(g, n, k, d_rep, "frontier", budget));
-      repair.push_back(bench_repair(g, n, k, d_rep, "sweep", budget));
+      bench_repair(json, g, n, k, d_rep, "frontier", budget, min_reps);
+      bench_repair(json, g, n, k, d_rep, "sweep", budget, min_reps);
     }
   }
 
-  std::vector<PipelineRow> pipeline;
+  json.end_array().key("pipeline").begin_array();
   const std::vector<VertexId> pipe_sizes =
       quick ? std::vector<VertexId>{64} : std::vector<VertexId>{64, 128, 256};
   for (const VertexId n : pipe_sizes) {
     for (const VertexId grow : {VertexId{1}, VertexId{4}, VertexId{16}}) {
-      pipeline.push_back(bench_pipeline(n, grow, 8));
+      bench_pipeline(json, n, grow, 8, budget, min_reps);
     }
   }
-
-  emit_json(repair, pipeline);
+  json.end_array().end_object();
+  std::cout << '\n';
   return 0;
 }

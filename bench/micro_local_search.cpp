@@ -3,19 +3,19 @@
 // Measures moves/second and passes/second of sweep- and frontier-mode hill
 // climbing and a capped KL refinement across mesh sizes and part counts,
 // emitting JSON so the BENCH_local_search.json trajectory can track the
-// boundary-driven refinement work:
+// boundary-driven refinement work.  Every row repeats its climb until
+// --seconds is spent (at least 5 reps, 1 under --quick); `seconds` is the
+// climb time summed over the reps:
 //   ./bench/micro_local_search [--seconds=1.0] [--quick] > local_search.json
 #include <algorithm>
 #include <cstdint>
-#include <cstdio>
-#include <string>
+#include <iostream>
 #include <vector>
 
 #include "baselines/kl.hpp"
 #include "bench_common.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "core/hill_climb.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
@@ -36,23 +36,6 @@ struct Case {
   PartId k = 2;
   Objective objective = Objective::kTotalComm;
   StartKind start = StartKind::kRandom;
-};
-
-struct Row {
-  std::string name;
-  Case c;
-  int reps = 0;
-  std::int64_t moves = 0;
-  std::int64_t passes = 0;
-  double seconds = 0.0;
-  double final_fitness = 0.0;
-
-  double moves_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(moves) / seconds : 0.0;
-  }
-  double passes_per_sec() const {
-    return seconds > 0.0 ? static_cast<double>(passes) / seconds : 0.0;
-  }
 };
 
 Assignment start_assignment(const Graph& g, PartId k, StartKind start,
@@ -83,85 +66,77 @@ std::uint64_t case_salt(const Case& c) {
          (c.start == StartKind::kPerturbed ? 13ULL : 0ULL);
 }
 
+/// Writes one row: `timing` of the reps, the moves and passes summed over
+/// them, and the fitness the last rep reached.
+void write_row(JsonWriter& json, const char* name, const Case& c,
+               const Summary& timing, std::int64_t moves, std::int64_t passes,
+               double final_fitness) {
+  const double seconds = bench::total_seconds(timing);
+  json.begin_object()
+      .field("name", name)
+      .field("rows", c.rows)
+      .field("cols", c.cols)
+      .field("k", c.k)
+      .field("objective", c.objective == Objective::kTotalComm ? "total_comm"
+                                                              : "worst_comm")
+      .field("start", c.start == StartKind::kPerturbed ? "perturbed" : "random")
+      .field("moves", moves)
+      .field("passes", passes)
+      .field("seconds", seconds)
+      .field("moves_per_sec", static_cast<double>(moves) / seconds)
+      .field("passes_per_sec", static_cast<double>(passes) / seconds)
+      .field("final_fitness", final_fitness);
+  bench::write_rep_stats(json, timing);
+  json.end_object();
+}
+
 /// Repeats full hill climbs from the same start assignment until the budget
 /// is spent; state construction stays outside the timed region.
-Row bench_hill_climb(const Graph& g, const Case& c, HillClimbMode mode,
-                     double budget, bool gain_ordered = false) {
-  Row row;
-  row.name = mode != HillClimbMode::kFrontier ? "hill_climb_sweep"
-             : gain_ordered                   ? "hill_climb_frontier_ordered"
-                                              : "hill_climb_frontier";
-  row.c = c;
+void bench_hill_climb(JsonWriter& json, const Graph& g, const Case& c,
+                      HillClimbMode mode, double budget, int min_reps) {
   const Assignment start = start_assignment(g, c.k, c.start, case_salt(c));
   HillClimbOptions opt;
   opt.fitness = {c.objective, 1.0};
   opt.mode = mode;
-  opt.gain_ordered = gain_ordered;
   opt.max_passes = 50;
-
-  double elapsed = 0.0;
-  while (elapsed < budget || row.reps == 0) {
-    PartitionState state(g, start, c.k);
-    WallTimer timer;
-    const HillClimbResult res = hill_climb(state, opt);
-    elapsed += timer.seconds();
-    row.moves += res.moves;
-    row.passes += res.passes;
-    row.final_fitness = state.fitness(opt.fitness);
-    ++row.reps;
-  }
-  row.seconds = elapsed;
-  return row;
+  std::int64_t moves = 0;
+  std::int64_t passes = 0;
+  double fitness = 0.0;
+  const Summary timing = bench::repeat(
+      budget, min_reps, [&] { return PartitionState(g, start, c.k); },
+      [&](PartitionState& state) {
+        const HillClimbResult res = hill_climb(state, opt);
+        moves += res.moves;
+        passes += res.passes;
+        fitness = state.fitness(opt.fitness);
+      });
+  write_row(json,
+            mode == HillClimbMode::kFrontier ? "hill_climb_frontier_ordered"
+                                             : "hill_climb_sweep",
+            c, timing, moves, passes, fitness);
 }
 
 /// KL with a per-pass move cap (full KL is quadratic in |V| and would drown
 /// the bench); reported as moves applied per second of refinement.
-Row bench_kl(const Graph& g, const Case& c, double budget) {
-  Row row;
-  row.name = "kl_capped";
-  row.c = c;
+void bench_kl(JsonWriter& json, const Graph& g, const Case& c, double budget,
+              int min_reps) {
   const Assignment start = start_assignment(g, c.k, c.start, case_salt(c));
   KlOptions opt;
   opt.fitness = {c.objective, 1.0};
   opt.max_passes = 1;
   opt.max_moves_per_pass = 128;
-
-  double elapsed = 0.0;
-  while (elapsed < budget || row.reps == 0) {
-    PartitionState state(g, start, c.k);
-    WallTimer timer;
-    const KlResult res = kl_refine(state, opt);
-    elapsed += timer.seconds();
-    row.moves += res.moves_applied;
-    row.passes += res.passes;
-    row.final_fitness = state.fitness(opt.fitness);
-    ++row.reps;
-  }
-  row.seconds = elapsed;
-  return row;
-}
-
-void emit_json(const std::vector<Row>& rows) {
-  std::printf("{\n");
-  std::printf("  \"bench\": \"micro_local_search\",\n");
-  std::printf("  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::printf(
-        "    {\"name\": \"%s\", \"rows\": %d, \"cols\": %d, \"k\": %d, "
-        "\"objective\": \"%s\", \"start\": \"%s\", \"reps\": %d, "
-        "\"moves\": %lld, \"passes\": %lld, \"seconds\": %.4f, "
-        "\"moves_per_sec\": %.1f, \"passes_per_sec\": %.1f, "
-        "\"final_fitness\": %.6f}%s\n",
-        r.name.c_str(), static_cast<int>(r.c.rows), static_cast<int>(r.c.cols),
-        static_cast<int>(r.c.k),
-        r.c.objective == Objective::kTotalComm ? "total_comm" : "worst_comm",
-        r.c.start == StartKind::kPerturbed ? "perturbed" : "random", r.reps,
-        static_cast<long long>(r.moves), static_cast<long long>(r.passes),
-        r.seconds, r.moves_per_sec(), r.passes_per_sec(), r.final_fitness,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  std::int64_t moves = 0;
+  std::int64_t passes = 0;
+  double fitness = 0.0;
+  const Summary timing = bench::repeat(
+      budget, min_reps, [&] { return PartitionState(g, start, c.k); },
+      [&](PartitionState& state) {
+        const KlResult res = kl_refine(state, opt);
+        moves += res.moves_applied;
+        passes += res.passes;
+        fitness = state.fitness(opt.fitness);
+      });
+  write_row(json, "kl_capped", c, timing, moves, passes, fitness);
 }
 
 }  // namespace
@@ -184,16 +159,20 @@ int main(int argc, char** argv) {
         {128, 128, 16, Objective::kTotalComm, StartKind::kPerturbed});
   }
 
-  std::vector<Row> rows;
+  const int min_reps = bench::min_reps(quick);
+
+  JsonWriter json(std::cout);
+  json.begin_object()
+      .field("bench", "micro_local_search")
+      .key("results")
+      .begin_array();
   for (const Case& c : cases) {
     const Graph g = make_grid(c.rows, c.cols);
-    rows.push_back(bench_hill_climb(g, c, HillClimbMode::kSweep, budget));
-    rows.push_back(bench_hill_climb(g, c, HillClimbMode::kFrontier, budget));
-    rows.push_back(bench_hill_climb(g, c, HillClimbMode::kFrontier, budget,
-                                    /*gain_ordered=*/true));
-    if (c.rows <= 32) rows.push_back(bench_kl(g, c, budget));
+    bench_hill_climb(json, g, c, HillClimbMode::kSweep, budget, min_reps);
+    bench_hill_climb(json, g, c, HillClimbMode::kFrontier, budget, min_reps);
+    if (c.rows <= 32) bench_kl(json, g, c, budget, min_reps);
   }
-
-  emit_json(rows);
+  json.end_array().end_object();
+  std::cout << '\n';
   return 0;
 }

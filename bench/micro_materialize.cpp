@@ -19,7 +19,8 @@
 //   snapshot: the Chaco text of a 1000 x 1000 grid and its partition, as a
 //             WAL compaction or a replication bootstrap produces it.
 //
-// Each row reports the median and minimum wall time over `reps` runs.
+// Each row reports the median, quartiles and minimum wall time over `reps`
+// runs (7, or 3 under --quick).
 // --quick (CI smoke runs) drops the 10^6 build size and shrinks the decode
 // and snapshot inputs about 10x.
 //
@@ -27,14 +28,14 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <iostream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "bench_common.hpp"
 #include "common/cli.hpp"
 #include "common/rng.hpp"
-#include "common/stats.hpp"
-#include "common/timer.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/coarsen.hpp"
 #include "graph/delta_codec.hpp"
@@ -47,23 +48,19 @@ using namespace gapart;
 
 using EdgeList = std::vector<std::pair<VertexId, VertexId>>;
 
-struct Row {
-  std::string section;
-  std::string input;
-  VertexId n = 0;
-  std::int64_t edges = 0;
-  Summary ms;
-};
-
-template <typename F>
-Summary time_ms(int reps, F&& body) {
-  std::vector<double> samples;
-  for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    body();
-    samples.push_back(timer.seconds() * 1e3);
-  }
-  return summarize(samples);
+/// Writes one row: the build, decode or snapshot of an input with `n`
+/// vertices and `edges` edges, timed over `reps` runs.
+void write_row(JsonWriter& json, const char* section, const std::string& input,
+               VertexId n, std::int64_t edges, const Summary& seconds) {
+  json.begin_object()
+      .field("section", section)
+      .field("input", input)
+      .field("n", n)
+      .field("edges", edges)
+      .field("ms_p50", seconds.median * 1e3)
+      .field("ms_min", seconds.min * 1e3);
+  bench::write_rep_stats(json, seconds);
+  json.end_object();
 }
 
 /// rows x cols grid, edges listed by lower endpoint then neighbour.
@@ -113,19 +110,19 @@ EdgeList barabasi_albert(VertexId n, int m, Rng& rng) {
   return edges;
 }
 
-Row bench_build(const std::string& input, GraphBuilder& b, int reps) {
+void bench_build(JsonWriter& json, const std::string& input, GraphBuilder& b,
+                 int reps) {
   std::int64_t built_edges = 0;
-  Row row{"build", input, b.num_vertices(), 0, {}};
-  row.ms = time_ms(reps, [&] { built_edges = b.build().num_edges(); });
-  row.edges = built_edges;
-  return row;
+  const Summary seconds = bench::repeat(
+      0.0, reps, [&] { built_edges = b.build().num_edges(); });
+  write_row(json, "build", input, b.num_vertices(), built_edges, seconds);
 }
 
-Row bench_build(const std::string& input, VertexId n, const EdgeList& edges,
-                int reps) {
+void bench_build(JsonWriter& json, const std::string& input, VertexId n,
+                 const EdgeList& edges, int reps) {
   GraphBuilder b(n);
   for (const auto& [u, v] : edges) b.add_edge(u, v);
-  return bench_build(input, b, reps);
+  bench_build(json, input, b, reps);
 }
 
 /// The builder input contract_clusters (graph/coarsen) produces for one
@@ -149,8 +146,8 @@ GraphBuilder coarsening_input(const Graph& fine, Rng& rng) {
   return b;
 }
 
-std::vector<Row> run_build(const std::vector<VertexId>& sizes, int reps) {
-  std::vector<Row> rows;
+void run_build(JsonWriter& json, const std::vector<VertexId>& sizes,
+               int reps) {
   Rng rng(0x3a7e);
   for (const VertexId target : sizes) {
     VertexId side = 1;
@@ -170,29 +167,27 @@ std::vector<Row> run_build(const std::vector<VertexId>& sizes, int reps) {
       const VertexId cv = v / 2;
       if (cu != cv) coarse.emplace_back(cu, cv);
     }
-    rows.push_back(bench_build("ordered", n, ordered, reps));
-    rows.push_back(bench_build("shuffled", n, shuffled, reps));
-    rows.push_back(bench_build("coarsening", n, coarse, reps));
+    bench_build(json, "ordered", n, ordered, reps);
+    bench_build(json, "shuffled", n, shuffled, reps);
+    bench_build(json, "coarsening", n, coarse, reps);
     const Graph ba = build_from(2 * n, barabasi_albert(2 * n, 4, rng));
     GraphBuilder ba_level = coarsening_input(ba, rng);
-    rows.push_back(bench_build("coarsening_ba", ba_level, reps));
+    bench_build(json, "coarsening_ba", ba_level, reps);
   }
-  return rows;
 }
 
-Row bench_decode(const std::string& input, const Graph& prev,
-                 const Graph& grown, int reps) {
+void bench_decode(JsonWriter& json, const std::string& input,
+                  const Graph& prev, const Graph& grown, int reps) {
   const std::string record = encode_delta(grown, diff_graphs(prev, grown));
-  Row row{"decode", input, grown.num_vertices(), grown.num_edges(), {}};
-  row.ms = time_ms(reps, [&] {
+  const Summary seconds = bench::repeat(0.0, reps, [&] {
     const DecodedDelta d = decode_delta(prev, record);
     if (d.grown.num_edges() != grown.num_edges()) std::abort();
   });
-  return row;
+  write_row(json, "decode", input, grown.num_vertices(), grown.num_edges(),
+            seconds);
 }
 
-std::vector<Row> run_decode(VertexId side, VertexId ba_n, int reps) {
-  std::vector<Row> rows;
+void run_decode(JsonWriter& json, VertexId side, VertexId ba_n, int reps) {
   {
     const EdgeList edges = grid_edges(side + 1, side);
     EdgeList old_edges;
@@ -201,7 +196,7 @@ std::vector<Row> run_decode(VertexId side, VertexId ba_n, int reps) {
     }
     const Graph prev = build_from(side * side, old_edges);
     const Graph grown = build_from((side + 1) * side, edges);
-    rows.push_back(bench_decode("grid_row", prev, grown, reps));
+    bench_decode(json, "grid_row", prev, grown, reps);
   }
   {
     Rng rng(0xba100);
@@ -212,43 +207,24 @@ std::vector<Row> run_decode(VertexId side, VertexId ba_n, int reps) {
     }
     const Graph prev = build_from(ba_n, old_edges);
     const Graph grown = build_from(ba_n + 100, edges);
-    rows.push_back(bench_decode("ba_100", prev, grown, reps));
+    bench_decode(json, "ba_100", prev, grown, reps);
   }
-  return rows;
 }
 
-Row run_snapshot(VertexId side, int reps) {
+void run_snapshot(JsonWriter& json, VertexId side, int reps) {
   const Graph g = build_from(side * side, grid_edges(side, side));
   Assignment a(static_cast<std::size_t>(g.num_vertices()));
   for (std::size_t v = 0; v < a.size(); ++v) {
     a[v] = static_cast<PartId>(v % static_cast<std::size_t>(side) * 8 /
                                static_cast<std::size_t>(side));
   }
-  Row row{"snapshot", "grid_chaco_text", g.num_vertices(), g.num_edges(), {}};
   std::size_t bytes = 0;
-  row.ms = time_ms(reps, [&] {
+  const Summary seconds = bench::repeat(0.0, reps, [&] {
     bytes = format_graph(g).size() + format_partition(a).size();
   });
   if (bytes == 0) std::abort();
-  return row;
-}
-
-void emit_json(const std::vector<Row>& rows, bool quick) {
-  std::printf("{\n");
-  std::printf("  \"bench\": \"micro_materialize\",\n");
-  std::printf("  \"quick\": %s,\n", quick ? "true" : "false");
-  std::printf("  \"rows\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::printf(
-        "    {\"section\": \"%s\", \"input\": \"%s\", \"n\": %d, "
-        "\"edges\": %lld, \"reps\": %zu, \"ms_p50\": %.3f, \"ms_min\": %.3f}"
-        "%s\n",
-        r.section.c_str(), r.input.c_str(), r.n,
-        static_cast<long long>(r.edges), r.ms.count, r.ms.median, r.ms.min,
-        i + 1 < rows.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  write_row(json, "snapshot", "grid_chaco_text", g.num_vertices(),
+            g.num_edges(), seconds);
 }
 
 }  // namespace
@@ -261,15 +237,19 @@ int main(int argc, char** argv) {
       quick ? std::vector<VertexId>{10'000, 100'000}
             : std::vector<VertexId>{10'000, 100'000, 1'000'000};
 
-  std::vector<Row> rows = run_build(sizes, reps);
-  for (Row& r : run_decode(quick ? 300 : 1000, quick ? 10'000 : 100'000,
-                           reps)) {
-    rows.push_back(std::move(r));
-  }
-  rows.push_back(run_snapshot(quick ? 300 : 1000, reps));
+  JsonWriter json(std::cout);
+  json.begin_object()
+      .field("bench", "micro_materialize")
+      .field("quick", quick)
+      .key("rows")
+      .begin_array();
+  run_build(json, sizes, reps);
+  run_decode(json, quick ? 300 : 1000, quick ? 10'000 : 100'000, reps);
+  run_snapshot(json, quick ? 300 : 1000, reps);
+  json.end_array().end_object();
+  std::cout << '\n';
   for (const auto& unused : args.unused()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
   }
-  emit_json(rows, quick);
   return 0;
 }

@@ -14,12 +14,15 @@
 //             V-cycle, open a PartitionSession on it, grow it by appended
 //             rows, and repair the delta through apply_update — the full
 //             partition-then-evolve lifecycle at a scale the flat GA cannot
-//             touch.
+//             touch.  The partition and the repair each repeat 5 times
+//             (once under --quick); the row's `partition_seconds` and
+//             `repair_seconds` are their medians.
 //
 //   ./bench/micro_multilevel [--quick] > multilevel.json
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <iostream>
 #include <memory>
 #include <vector>
 
@@ -52,38 +55,18 @@ VcycleGaOptions bench_vcycle_options(PartId k) {
   return opt;
 }
 
-struct WallclockRow {
-  VertexId n = 0;
-  PartId k = 0;
-  int levels = 0;
-  int evolved_levels = 0;
-  double vcycle_seconds = 0.0;
-  double vcycle_cut = 0.0;
-  double vcycle_imbalance = 0.0;
-  double flat_seconds = 0.0;
-  double flat_cut = 0.0;
-  int flat_generations = 0;
-  bool vcycle_beats_flat = false;
-};
-
-WallclockRow bench_equal_wallclock(VertexId n, PartId k) {
-  WallclockRow row;
-  row.n = n;
-  row.k = k;
+/// Writes one equal-wallclock row; returns whether the V-cycle's cut beat
+/// the flat GA's.
+bool bench_equal_wallclock(JsonWriter& json, VertexId n, PartId k) {
   const Graph g = make_grid(n, n);
 
   Rng rng(0x5C1994 ^ static_cast<std::uint64_t>(n));
   const VcycleGaResult res = vcycle_ga_partition(g, bench_vcycle_options(k), rng);
-  row.levels = res.levels;
-  row.evolved_levels = res.evolved_levels;
-  row.vcycle_seconds = res.wall_seconds;
-  row.vcycle_cut = res.metrics.total_cut();
-  row.vcycle_imbalance = res.metrics.imbalance_sq;
 
   // The flat GA gets at least the V-cycle's budget on the same mesh.  A
   // smaller population than the paper's 320 keeps generations cheap at this
   // |V| — the flat GA's best configuration for a fixed wall-clock.
-  const double budget = std::max(row.vcycle_seconds, 1.0);
+  const double budget = std::max(res.wall_seconds, 1.0);
   GaConfig flat = paper_ga_config(k, Objective::kTotalComm);
   flat.population_size = 64;
   flat.hill_climb_offspring = true;
@@ -93,106 +76,74 @@ WallclockRow bench_equal_wallclock(VertexId n, PartId k) {
   GaEngine engine(g, flat, std::move(initial), frng.split());
   WallTimer timer;
   while (timer.seconds() < budget) engine.step();
-  row.flat_seconds = timer.seconds();
-  row.flat_generations = engine.generation();
-  row.flat_cut = engine.best().metrics.total_cut();
-  row.vcycle_beats_flat = row.vcycle_cut < row.flat_cut;
-  return row;
+  const double flat_seconds = timer.seconds();
+  const double flat_cut = engine.best().metrics.total_cut();
+  const bool beats = res.metrics.total_cut() < flat_cut;
+  json.begin_object()
+      .field("n", n)
+      .field("k", k)
+      .field("levels", res.levels)
+      .field("evolved_levels", res.evolved_levels)
+      .field("vcycle_seconds", res.wall_seconds)
+      .field("vcycle_cut", res.metrics.total_cut())
+      .field("vcycle_imbalance", res.metrics.imbalance_sq)
+      .field("flat_seconds", flat_seconds)
+      .field("flat_cut", flat_cut)
+      .field("flat_generations", engine.generation())
+      .field("vcycle_beats_flat", beats)
+      .end_object();
+  return beats;
 }
 
-struct EndToEndRow {
-  VertexId n = 0;
-  VertexId vertices = 0;
-  std::int64_t edges = 0;
-  PartId k = 0;
-  int levels = 0;
-  int evolved_levels = 0;
-  double partition_seconds = 0.0;
-  double cut = 0.0;
-  double imbalance = 0.0;
-  VertexId grow_rows = 0;
-  VertexId damage = 0;
-  double repair_seconds = 0.0;
-  double repaired_cut = 0.0;
-};
-
-EndToEndRow bench_end_to_end(VertexId n, VertexId grow_rows, PartId k) {
-  EndToEndRow row;
-  row.n = n;
-  row.k = k;
-  row.grow_rows = grow_rows;
+void bench_end_to_end(JsonWriter& json, VertexId n, VertexId grow_rows,
+                      PartId k, int min_reps) {
   const auto g = std::make_shared<const Graph>(make_grid(n, n));
-  row.vertices = g->num_vertices();
-  row.edges = g->num_edges();
 
-  Rng rng(0xE2E ^ static_cast<std::uint64_t>(n));
-  VcycleGaResult res = vcycle_ga_partition(*g, bench_vcycle_options(k), rng);
-  row.levels = res.levels;
-  row.evolved_levels = res.evolved_levels;
-  row.partition_seconds = res.wall_seconds;
-  row.cut = res.metrics.total_cut();
-  row.imbalance = res.metrics.imbalance_sq;
+  // Every rep re-seeds the same Rng, so every rep returns this result.
+  VcycleGaResult res;
+  const Summary partition = bench::repeat(0.0, min_reps, [&] {
+    Rng rng(0xE2E ^ static_cast<std::uint64_t>(n));
+    res = vcycle_ga_partition(*g, bench_vcycle_options(k), rng);
+  });
 
   // Grow by appended rows and repair through a session's per-delta path:
   // greedy extension, O(damage) rebind, seeded cascade, then at most 4
   // verification rounds under a budget that never binds.  The session's
-  // O(V+E) construction at open is not part of the repair.
+  // O(V+E) construction at open is untimed setup.
   SessionConfig cfg;
   cfg.num_parts = k;
   cfg.repair_budget_seconds = 1e9;
   cfg.repair_max_verify_rounds = 4;
-  PartitionSession session(g, std::move(res.assignment), cfg);
   const auto grown =
       std::make_shared<const Graph>(make_grid(n + grow_rows, n));
   const GraphDelta delta = diff_graphs(*g, *grown);
-  WallTimer timer;
-  const RepairReport rep = session.apply_update(grown, delta);
-  row.repair_seconds = timer.seconds();
-  row.damage = rep.damage;
-  row.repaired_cut = session.snapshot()->total_cut;
-  return row;
-}
-
-void emit_json(const std::vector<WallclockRow>& wallclock,
-               const std::vector<EndToEndRow>& end_to_end) {
-  bool all_beat = true;
-  for (const WallclockRow& r : wallclock) all_beat &= r.vcycle_beats_flat;
-  std::printf("{\n");
-  std::printf("  \"bench\": \"micro_multilevel\",\n");
-  std::printf("  \"vcycle_beats_flat\": %s,\n", all_beat ? "true" : "false");
-  std::printf("  \"equal_wallclock\": [\n");
-  for (std::size_t i = 0; i < wallclock.size(); ++i) {
-    const WallclockRow& r = wallclock[i];
-    std::printf(
-        "    {\"n\": %d, \"k\": %d, \"levels\": %d, \"evolved_levels\": %d, "
-        "\"vcycle_seconds\": %.3f, \"vcycle_cut\": %.0f, "
-        "\"vcycle_imbalance\": %.1f, \"flat_seconds\": %.3f, "
-        "\"flat_cut\": %.0f, \"flat_generations\": %d, "
-        "\"vcycle_beats_flat\": %s}%s\n",
-        static_cast<int>(r.n), static_cast<int>(r.k), r.levels,
-        r.evolved_levels, r.vcycle_seconds, r.vcycle_cut, r.vcycle_imbalance,
-        r.flat_seconds, r.flat_cut, r.flat_generations,
-        r.vcycle_beats_flat ? "true" : "false",
-        i + 1 < wallclock.size() ? "," : "");
-  }
-  std::printf("  ],\n");
-  std::printf("  \"end_to_end\": [\n");
-  for (std::size_t i = 0; i < end_to_end.size(); ++i) {
-    const EndToEndRow& r = end_to_end[i];
-    std::printf(
-        "    {\"n\": %d, \"vertices\": %d, \"edges\": %lld, \"k\": %d, "
-        "\"levels\": %d, \"evolved_levels\": %d, "
-        "\"partition_seconds\": %.3f, \"cut\": %.0f, \"imbalance\": %.1f, "
-        "\"grow_rows\": %d, \"damage\": %d, \"repair_seconds\": %.3f, "
-        "\"repaired_cut\": %.0f}%s\n",
-        static_cast<int>(r.n), static_cast<int>(r.vertices),
-        static_cast<long long>(r.edges), static_cast<int>(r.k), r.levels,
-        r.evolved_levels, r.partition_seconds, r.cut, r.imbalance,
-        static_cast<int>(r.grow_rows), static_cast<int>(r.damage),
-        r.repair_seconds, r.repaired_cut,
-        i + 1 < end_to_end.size() ? "," : "");
-  }
-  std::printf("  ]\n}\n");
+  VertexId damage = 0;
+  double repaired_cut = 0.0;
+  const Summary repair = bench::repeat(
+      0.0, min_reps, [&] { return PartitionSession(g, res.assignment, cfg); },
+      [&](PartitionSession& session) {
+        damage = session.apply_update(grown, delta).damage;
+        repaired_cut = session.snapshot()->total_cut;
+      });
+  json.begin_object()
+      .field("n", n)
+      .field("vertices", g->num_vertices())
+      .field("edges", g->num_edges())
+      .field("k", k)
+      .field("levels", res.levels)
+      .field("evolved_levels", res.evolved_levels)
+      .field("partition_seconds", partition.median)
+      .field("cut", res.metrics.total_cut())
+      .field("imbalance", res.metrics.imbalance_sq)
+      .field("grow_rows", grow_rows)
+      .field("damage", damage)
+      .field("repair_seconds", repair.median)
+      .field("repaired_cut", repaired_cut);
+  json.key("partition_timing").begin_object();
+  bench::write_rep_stats(json, partition);
+  json.end_object().key("repair_timing").begin_object();
+  bench::write_rep_stats(json, repair);
+  json.end_object().end_object();
 }
 
 }  // namespace
@@ -203,16 +154,21 @@ int main(int argc, char** argv) {
 
   const std::vector<VertexId> sizes = quick ? std::vector<VertexId>{64, 128}
                                             : std::vector<VertexId>{256, 512};
-  std::vector<WallclockRow> wallclock;
-  for (const VertexId n : sizes) {
-    wallclock.push_back(bench_equal_wallclock(n, 8));
-  }
-
-  std::vector<EndToEndRow> end_to_end;
-  end_to_end.push_back(
-      bench_end_to_end(quick ? 256 : 1000, /*grow_rows=*/4, 8));
-
-  emit_json(wallclock, end_to_end);
+  JsonWriter json(std::cout);
+  json.begin_object()
+      .field("bench", "micro_multilevel")
+      .key("equal_wallclock")
+      .begin_array();
+  bool all_beat = true;
+  for (const VertexId n : sizes) all_beat &= bench_equal_wallclock(json, n, 8);
+  json.end_array()
+      .field("vcycle_beats_flat", all_beat)
+      .key("end_to_end")
+      .begin_array();
+  bench_end_to_end(json, quick ? 256 : 1000, /*grow_rows=*/4, 8,
+                   bench::min_reps(quick));
+  json.end_array().end_object();
+  std::cout << '\n';
   for (const auto& unused : args.unused()) {
     std::fprintf(stderr, "warning: unused flag --%s\n", unused.c_str());
   }

@@ -19,18 +19,21 @@
 //               two builds' outputs can sit side by side in
 //               BENCH_telemetry.json).
 //
+// Every row repeats 5 times (once under --quick): ns/op and updates/sec
+// come from the median rep, and each row carries its reps' median / p25 /
+// p75 seconds (the micro rows under "micro_timing").
+//
 //   ./bench/micro_telemetry [--quick] > telemetry.json
 #include <chrono>
 #include <cstdint>
-#include <cstdio>
+#include <iostream>
 #include <memory>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "common/cli.hpp"
 #include "common/telemetry.hpp"
-#include "common/timer.hpp"
 #include "core/graph_delta.hpp"
 #include "graph/generators.hpp"
 #include "graph/partition.hpp"
@@ -46,135 +49,89 @@ inline void keep(double v) {
   sink = sink + v;
 }
 
-/// ns/op of `body` run `iters` times.
-template <typename F>
-double time_ns_per_op(std::int64_t iters, F&& body) {
-  WallTimer timer;
-  for (std::int64_t i = 0; i < iters; ++i) body(i);
-  return timer.seconds() * 1e9 / static_cast<double>(iters);
-}
-
-struct MicroRow {
-  std::string name;
-  double ns_per_op = 0.0;
-};
-
-std::vector<MicroRow> run_micro(std::int64_t iters) {
-  std::vector<MicroRow> rows;
+/// Seconds per rep of `iters` calls of each instrumentation primitive.
+std::vector<std::pair<const char*, Summary>> run_micro(std::int64_t iters,
+                                                       int min_reps) {
+  std::vector<std::pair<const char*, Summary>> rows;
   auto& reg = TelemetryRegistry::instance();
+  const auto time_row = [&](const char* name, auto&& op) {
+    rows.emplace_back(name, bench::repeat(0.0, min_reps, [&] {
+                        for (std::int64_t i = 0; i < iters; ++i) op(i);
+                      }));
+  };
 
-  rows.push_back({"steady_clock_now", time_ns_per_op(iters, [](std::int64_t) {
-                    keep(std::chrono::duration<double>(
-                             std::chrono::steady_clock::now()
-                                 .time_since_epoch())
-                             .count());
-                  })});
-
-  rows.push_back({"counter_add", time_ns_per_op(iters, [](std::int64_t i) {
-                    GAPART_COUNTER_ADD("bench.micro.counter", i & 1);
-                  })});
-
-  rows.push_back({"gauge_set", time_ns_per_op(iters, [](std::int64_t i) {
-                    GAPART_GAUGE_SET("bench.micro.gauge", i);
-                  })});
-
-  rows.push_back(
-      {"sharded_histogram_record", time_ns_per_op(iters, [](std::int64_t i) {
-         GAPART_HISTOGRAM_RECORD("bench.micro.hist",
-                                 1e-6 * static_cast<double>(1 + (i & 1023)));
-       })});
+  time_row("steady_clock_now", [](std::int64_t) {
+    keep(std::chrono::duration<double>(
+             std::chrono::steady_clock::now().time_since_epoch())
+             .count());
+  });
+  time_row("counter_add", [](std::int64_t i) {
+    GAPART_COUNTER_ADD("bench.micro.counter", i & 1);
+  });
+  time_row("gauge_set",
+           [](std::int64_t i) { GAPART_GAUGE_SET("bench.micro.gauge", i); });
+  time_row("sharded_histogram_record", [](std::int64_t i) {
+    GAPART_HISTOGRAM_RECORD("bench.micro.hist",
+                            1e-6 * static_cast<double>(1 + (i & 1023)));
+  });
 
   LogHistogram plain;
-  rows.push_back(
-      {"plain_histogram_record", time_ns_per_op(iters, [&](std::int64_t i) {
-         plain.record(1e-6 * static_cast<double>(1 + (i & 1023)));
-       })});
+  time_row("plain_histogram_record", [&](std::int64_t i) {
+    plain.record(1e-6 * static_cast<double>(1 + (i & 1023)));
+  });
   keep(static_cast<double>(plain.count()));
 
   Tracer::instance().disable();
-  rows.push_back({"span_tracer_disabled",
-                  time_ns_per_op(iters, [](std::int64_t) {
-                    GAPART_SPAN("bench.micro.span");
-                  })});
+  time_row("span_tracer_disabled",
+           [](std::int64_t) { GAPART_SPAN("bench.micro.span"); });
 
   Tracer::instance().enable();
-  rows.push_back({"span_tracer_enabled", time_ns_per_op(iters, [](std::int64_t) {
-                    GAPART_SPAN("bench.micro.span");
-                  })});
+  time_row("span_tracer_enabled",
+           [](std::int64_t) { GAPART_SPAN("bench.micro.span"); });
   Tracer::instance().disable();
   Tracer::instance().clear();
   reg.reset_for_tests();
   return rows;
 }
 
-struct EndToEndRow {
-  std::string mode;  // "tracer_off" / "tracer_on"
-  int updates = 0;
-  double seconds = 0.0;
-  double updates_per_sec = 0.0;
-  double p50_repair_ms = 0.0;
-};
-
 /// The soak_service growth regime: n x n grid growing by one appended row per
-/// update, column-band start, synchronous repair only.
-EndToEndRow run_end_to_end(const std::string& mode, VertexId n, int updates) {
-  EndToEndRow row;
-  row.mode = mode;
-  row.updates = updates;
-
+/// update, column-band start, synchronous repair only.  Each rep opens a
+/// fresh session (untimed) and replays the trace.  Writes the row unless
+/// `json` is null; returns updates/sec of the median rep.
+double run_end_to_end(JsonWriter* json, const char* mode, VertexId n,
+                      int updates, int min_reps) {
   SessionConfig cfg;
   cfg.num_parts = 8;
   cfg.repair_budget_seconds = 0.0;
 
-  auto prev = std::make_shared<const Graph>(make_grid(n, n));
-  PartitionSession session(prev, bench::column_bands(n, n, 8), cfg);
-
-  WallTimer timer;
-  for (int u = 1; u <= updates; ++u) {
-    auto next =
-        std::make_shared<const Graph>(make_grid(n + static_cast<VertexId>(u),
-                                                n));
-    const GraphDelta delta = diff_graphs(*prev, *next);
-    session.apply_update(next, delta);
-    prev = std::move(next);
+  const auto base = std::make_shared<const Graph>(make_grid(n, n));
+  double p50_repair_ms = 0.0;  // of the last rep's session
+  const Summary timing = bench::repeat(
+      0.0, min_reps,
+      [&] { return PartitionSession(base, bench::column_bands(n, n, 8), cfg); },
+      [&](PartitionSession& session) {
+        auto prev = base;
+        for (int u = 1; u <= updates; ++u) {
+          auto next = std::make_shared<const Graph>(
+              make_grid(n + static_cast<VertexId>(u), n));
+          const GraphDelta delta = diff_graphs(*prev, *next);
+          session.apply_update(next, delta);
+          prev = std::move(next);
+        }
+        p50_repair_ms = session.stats().p50_repair_seconds * 1e3;
+      });
+  const double updates_per_sec = updates / timing.median;
+  if (json != nullptr) {
+    json->begin_object()
+        .field("mode", mode)
+        .field("updates", updates)
+        .field("seconds", timing.median)
+        .field("updates_per_sec", updates_per_sec)
+        .field("p50_repair_ms", p50_repair_ms);
+    bench::write_rep_stats(*json, timing);
+    json->end_object();
   }
-  row.seconds = timer.seconds();
-  row.updates_per_sec = updates / row.seconds;
-  row.p50_repair_ms = session.stats().p50_repair_seconds * 1e3;
-  return row;
-}
-
-void emit_json(const std::vector<MicroRow>& micro,
-               const std::vector<EndToEndRow>& e2e) {
-  std::printf("{\n");
-  std::printf("  \"bench\": \"micro_telemetry\",\n");
-  std::printf("  \"telemetry_compiled_in\": %s,\n",
-              kTelemetryCompiledIn ? "true" : "false");
-  std::printf("  \"micro_ns_per_op\": {\n");
-  for (std::size_t i = 0; i < micro.size(); ++i) {
-    std::printf("    \"%s\": %.2f%s\n", micro[i].name.c_str(),
-                micro[i].ns_per_op, i + 1 < micro.size() ? "," : "");
-  }
-  std::printf("  },\n");
-  std::printf("  \"end_to_end\": [\n");
-  for (std::size_t i = 0; i < e2e.size(); ++i) {
-    const EndToEndRow& r = e2e[i];
-    std::printf(
-        "    {\"mode\": \"%s\", \"updates\": %d, \"seconds\": %.4f, "
-        "\"updates_per_sec\": %.1f, \"p50_repair_ms\": %.4f}%s\n",
-        r.mode.c_str(), r.updates, r.seconds, r.updates_per_sec,
-        r.p50_repair_ms, i + 1 < e2e.size() ? "," : "");
-  }
-  if (e2e.size() == 2) {
-    std::printf("  ],\n");
-    const double off = e2e[0].updates_per_sec;
-    const double on = e2e[1].updates_per_sec;
-    std::printf("  \"tracer_overhead_pct\": %.2f\n",
-                off > 0.0 ? (off - on) / off * 100.0 : 0.0);
-  } else {
-    std::printf("  ]\n");
-  }
-  std::printf("}\n");
+  return updates_per_sec;
 }
 
 }  // namespace
@@ -185,22 +142,40 @@ int main(int argc, char** argv) {
   const std::int64_t iters = quick ? 200'000 : 2'000'000;
   const VertexId n = quick ? 64 : 128;
   const int updates = quick ? 20 : 60;
+  const int min_reps = bench::min_reps(quick);
 
   // Warm up the per-thread shard/ring registrations so the micro loops time
   // the steady state, not first-touch setup.
   GAPART_COUNTER_ADD("bench.micro.counter", 0);
   GAPART_HISTOGRAM_RECORD("bench.micro.hist", 1.0);
 
-  const std::vector<MicroRow> micro = run_micro(iters);
-
-  std::vector<EndToEndRow> e2e;
+  const auto micro = run_micro(iters, min_reps);
+  JsonWriter json(std::cout);
+  json.begin_object()
+      .field("bench", "micro_telemetry")
+      .field("telemetry_compiled_in", kTelemetryCompiledIn)
+      .key("micro_ns_per_op")
+      .begin_object();
+  for (const auto& [name, s] : micro) {
+    json.field(name, s.median * 1e9 / static_cast<double>(iters));
+  }
+  json.end_object().key("micro_timing").begin_object();
+  for (const auto& [name, s] : micro) {
+    json.key(name).begin_object();
+    bench::write_rep_stats(json, s);
+    json.end_object();
+  }
+  json.end_object().key("end_to_end").begin_array();
   Tracer::instance().disable();
-  run_end_to_end("warmup", n, updates);  // discarded: page-faults, alloc pools
-  e2e.push_back(run_end_to_end("tracer_off", n, updates));
+  // Discarded: page faults, allocator pools.
+  run_end_to_end(nullptr, "warmup", n, updates, 1);
+  const double off = run_end_to_end(&json, "tracer_off", n, updates, min_reps);
   Tracer::instance().enable();
-  e2e.push_back(run_end_to_end("tracer_on", n, updates));
+  const double on = run_end_to_end(&json, "tracer_on", n, updates, min_reps);
   Tracer::instance().disable();
-
-  emit_json(micro, e2e);
+  json.end_array()
+      .field("tracer_overhead_pct", (off - on) / off * 100.0)
+      .end_object();
+  std::cout << '\n';
   return 0;
 }

@@ -56,6 +56,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iostream>
 #include <memory>
 #include <new>
 #include <string>
@@ -806,158 +807,150 @@ void emit_json(const SoakResult& soak, const std::vector<LatencyRow>& latency,
                const std::vector<RecoveryRow>& recovery,
                const DurabilityResult& durability,
                const ReplicationResult& replication) {
-  std::printf("{\n");
-  std::printf("  \"bench\": \"soak_service\",\n");
-  std::printf(
-      "  \"soak\": {\"sessions\": %d, \"client_threads\": %d, "
-      "\"updates_per_session\": %d, \"seconds\": %.3f, "
-      "\"updates_per_second\": %.1f, \"total_damage\": %llu, "
-      "\"p50_repair_ms\": %.4f, \"p99_repair_ms\": %.4f, "
-      "\"max_repair_ms\": %.4f, \"refinements_planned\": %d, "
-      "\"refinements_applied\": %d, \"refinements_stale\": %d, "
-      "\"refinements_no_better\": %d, "
-      "\"full_evaluations\": %lld, \"delta_evaluations\": %lld, "
-      "\"pool_threads\": %d, \"backlog_max\": %d, \"backlog_mean\": %.2f, "
-      "\"backlog_samples\": %d},\n",
-      soak.sessions, soak.client_threads, soak.updates_per_session,
-      soak.seconds,
-      soak.seconds > 0.0
-          ? static_cast<double>(soak.stats.updates) / soak.seconds
-          : 0.0,
-      static_cast<unsigned long long>(soak.stats.total_damage),
-      soak.stats.p50_repair_seconds * 1e3, soak.stats.p99_repair_seconds * 1e3,
-      soak.stats.max_repair_seconds * 1e3, soak.stats.refinements_planned,
-      soak.stats.refinements_applied, soak.stats.refinements_stale,
-      soak.stats.refinements_no_better,
-      static_cast<long long>(soak.stats.full_evaluations),
-      static_cast<long long>(soak.stats.delta_evaluations),
-      soak.pool_threads, soak.backlog_max, soak.backlog_mean,
-      soak.backlog_samples);
+  const ServiceStats& ss = soak.stats;
+  JsonWriter json(std::cout);
+  json.begin_object()
+      .field("bench", "soak_service")
+      .key("soak")
+      .begin_object()
+      .field("sessions", soak.sessions)
+      .field("client_threads", soak.client_threads)
+      .field("updates_per_session", soak.updates_per_session)
+      .field("seconds", soak.seconds)
+      .field("updates_per_second",
+             soak.seconds > 0.0
+                 ? static_cast<double>(ss.updates) / soak.seconds
+                 : 0.0)
+      .field("total_damage", ss.total_damage)
+      .field("p50_repair_ms", ss.p50_repair_seconds * 1e3)
+      .field("p99_repair_ms", ss.p99_repair_seconds * 1e3)
+      .field("max_repair_ms", ss.max_repair_seconds * 1e3)
+      .field("refinements_planned", ss.refinements_planned)
+      .field("refinements_applied", ss.refinements_applied)
+      .field("refinements_stale", ss.refinements_stale)
+      .field("refinements_no_better", ss.refinements_no_better)
+      .field("full_evaluations", ss.full_evaluations)
+      .field("delta_evaluations", ss.delta_evaluations)
+      .field("pool_threads", soak.pool_threads)
+      .field("backlog_max", soak.backlog_max)
+      .field("backlog_mean", soak.backlog_mean)
+      .field("backlog_samples", soak.backlog_samples)
+      .end_object();
 
-  std::printf("  \"latency\": [\n");
-  for (std::size_t i = 0; i < latency.size(); ++i) {
-    const LatencyRow& r = latency[i];
-    std::printf(
-        "    {\"n\": %d, \"k\": %d, \"window\": %d, \"updates\": %d, "
-        "\"damage_mean\": %.1f, \"mean_ms\": %.4f, \"p50_ms\": %.4f, "
-        "\"p99_ms\": %.4f, \"examined\": %lld}%s\n",
-        static_cast<int>(r.n), static_cast<int>(r.k),
-        static_cast<int>(r.window), r.updates, r.damage_mean, r.mean_ms,
-        r.p50_ms, r.p99_ms, static_cast<long long>(r.examined),
-        i + 1 < latency.size() ? "," : "");
+  json.key("latency").begin_array();
+  for (const LatencyRow& r : latency) {
+    json.begin_object()
+        .field("n", r.n)
+        .field("k", r.k)
+        .field("window", r.window)
+        .field("updates", r.updates)
+        .field("damage_mean", r.damage_mean)
+        .field("mean_ms", r.mean_ms)
+        .field("p50_ms", r.p50_ms)
+        .field("p99_ms", r.p99_ms)
+        .field("examined", r.examined)
+        .end_object();
   }
-  std::printf("  ],\n");
-
-  std::printf("  \"recovery\": [\n");
-  for (std::size_t i = 0; i < recovery.size(); ++i) {
-    const RecoveryRow& r = recovery[i];
-    std::printf(
-        "    {\"trace\": \"churn\", \"n\": %d, \"k\": %d, \"updates\": %d, "
-        "\"session_cut\": %.1f, \"dpga_cut\": %.1f, "
-        "\"recovery_ratio\": %.3f, \"refinements_applied\": %d, "
-        "\"session_seconds\": %.3f, \"dpga_seconds\": %.3f}%s\n",
-        static_cast<int>(r.n), static_cast<int>(r.k), r.updates, r.session_cut,
-        r.dpga_cut, r.recovery_ratio, r.refinements_applied,
-        r.session_seconds, r.dpga_seconds,
-        i + 1 < recovery.size() ? "," : "");
+  json.end_array().key("recovery").begin_array();
+  for (const RecoveryRow& r : recovery) {
+    json.begin_object()
+        .field("trace", "churn")
+        .field("n", r.n)
+        .field("k", r.k)
+        .field("updates", r.updates)
+        .field("session_cut", r.session_cut)
+        .field("dpga_cut", r.dpga_cut)
+        .field("recovery_ratio", r.recovery_ratio)
+        .field("refinements_applied", r.refinements_applied)
+        .field("session_seconds", r.session_seconds)
+        .field("dpga_seconds", r.dpga_seconds)
+        .end_object();
   }
-  std::printf("  ],\n");
+  json.end_array();
 
   const DurabilityResult& d = durability;
   const ServiceStats& ds = d.stats;
-  std::printf("  \"durability\": {\n");
-  std::printf(
-      "    \"sessions\": %d, \"updates_per_session\": %d, "
-      "\"fault_seed\": %llu, \"fault_rate\": %.3f, "
-      "\"faults_compiled\": %s,\n",
-      d.sessions, d.updates, static_cast<unsigned long long>(d.fault_seed),
-      d.fault_rate, d.faults_compiled ? "true" : "false");
-  std::printf(
-      "    \"faultfree_p99_ms\": %.4f, \"faulted_p99_ms\": %.4f, "
-      "\"p99_ratio\": %.2f, \"run_seconds\": %.3f,\n",
-      d.faultfree_p99_ms, d.faulted_p99_ms, d.p99_ratio, d.run_seconds);
-  std::printf(
-      "    \"wal\": {\"appends\": %llu, \"append_retries\": %llu, "
-      "\"fsyncs\": %llu, \"bytes_appended\": %llu, \"compactions\": %llu, "
-      "\"compaction_failures\": %llu},\n",
-      static_cast<unsigned long long>(ds.wal_appends),
-      static_cast<unsigned long long>(ds.wal_append_retries),
-      static_cast<unsigned long long>(ds.wal_fsyncs),
-      static_cast<unsigned long long>(ds.wal_bytes_appended),
-      static_cast<unsigned long long>(ds.wal_compactions),
-      static_cast<unsigned long long>(ds.wal_compaction_failures));
-  std::printf(
-      "    \"overload\": {\"client_retries\": %lld, "
-      "\"updates_rejected\": %lld, \"verifications_shed\": %lld, "
-      "\"refinements_deferred\": %lld, \"refine_start_failures\": %lld},\n",
-      static_cast<long long>(d.client_retries),
-      static_cast<long long>(ds.updates_rejected),
-      static_cast<long long>(ds.verifications_shed),
-      static_cast<long long>(ds.refinements_deferred),
-      static_cast<long long>(ds.refine_start_failures));
-  std::printf("    \"faults\": [");
+  json.key("durability")
+      .begin_object()
+      .field("sessions", d.sessions)
+      .field("updates_per_session", d.updates)
+      .field("fault_seed", d.fault_seed)
+      .field("fault_rate", d.fault_rate)
+      .field("faults_compiled", d.faults_compiled)
+      .field("faultfree_p99_ms", d.faultfree_p99_ms)
+      .field("faulted_p99_ms", d.faulted_p99_ms)
+      .field("p99_ratio", d.p99_ratio)
+      .field("run_seconds", d.run_seconds)
+      .key("wal")
+      .begin_object()
+      .field("appends", ds.wal_appends)
+      .field("append_retries", ds.wal_append_retries)
+      .field("fsyncs", ds.wal_fsyncs)
+      .field("bytes_appended", ds.wal_bytes_appended)
+      .field("compactions", ds.wal_compactions)
+      .field("compaction_failures", ds.wal_compaction_failures)
+      .end_object()
+      .key("overload")
+      .begin_object()
+      .field("client_retries", d.client_retries)
+      .field("updates_rejected", ds.updates_rejected)
+      .field("verifications_shed", ds.verifications_shed)
+      .field("refinements_deferred", ds.refinements_deferred)
+      .field("refine_start_failures", ds.refine_start_failures)
+      .end_object()
+      .key("faults")
+      .begin_array();
   for (int s = 0; s < kNumFaultSites; ++s) {
-    std::printf(
-        "%s{\"site\": \"%s\", \"checked\": %llu, \"injected\": %llu}",
-        s > 0 ? ", " : "", fault_site_name(static_cast<FaultSite>(s)),
-        static_cast<unsigned long long>(d.sites[s].checked),
-        static_cast<unsigned long long>(d.sites[s].injected));
+    json.begin_object()
+        .field("site", fault_site_name(static_cast<FaultSite>(s)))
+        .field("checked", d.sites[s].checked)
+        .field("injected", d.sites[s].injected)
+        .end_object();
   }
-  std::printf("],\n");
-  std::printf(
-      "    \"recovery_seconds\": %.4f, \"sessions_recovered\": %d, "
-      "\"records_replayed\": %zu, \"lost_acked_deltas\": %lld, "
-      "\"recovered_consistent\": %s, \"failed_sessions\": %d\n",
-      d.recovery_seconds, d.sessions_recovered, d.records_replayed,
-      static_cast<long long>(d.lost_acked_deltas),
-      d.recovered_consistent ? "true" : "false", ds.failed_sessions);
-  std::printf("  },\n");
+  json.end_array()
+      .field("recovery_seconds", d.recovery_seconds)
+      .field("sessions_recovered", d.sessions_recovered)
+      .field("records_replayed", d.records_replayed)
+      .field("lost_acked_deltas", d.lost_acked_deltas)
+      .field("recovered_consistent", d.recovered_consistent)
+      .field("failed_sessions", ds.failed_sessions)
+      .end_object();
 
   const ReplicationResult& rep = replication;
-  std::printf("  \"replication\": {\n");
-  std::printf(
-      "    \"sessions\": %d, \"updates_per_session\": %d, "
-      "\"fault_rate\": %.3f, \"seconds\": %.3f, \"client_retries\": %lld,\n",
-      rep.sessions, rep.updates, rep.fault_rate, rep.seconds,
-      static_cast<long long>(rep.client_retries));
-  std::printf(
-      "    \"ack_ms_p50\": %.4f, \"ack_ms_p99\": %.4f, "
-      "\"lag_epochs_p50\": %.2f, \"lag_epochs_p99\": %.2f,\n",
-      rep.ack_ms_p50, rep.ack_ms_p99, rep.ship.lag_epochs_p50,
-      rep.ship.lag_epochs_p99);
-  std::printf(
-      "    \"frames_sent\": %llu, \"acks_received\": %llu, "
-      "\"send_failures\": %llu, \"resumes\": %llu, "
-      "\"snapshot_resyncs\": %llu, \"backpressure_stalls\": %llu,\n",
-      static_cast<unsigned long long>(rep.ship.frames_sent),
-      static_cast<unsigned long long>(rep.ship.acks_received),
-      static_cast<unsigned long long>(rep.ship.send_failures),
-      static_cast<unsigned long long>(rep.ship.resumes),
-      static_cast<unsigned long long>(rep.ship.snapshot_resyncs),
-      static_cast<unsigned long long>(rep.ship.backpressure_stalls));
-  std::printf(
-      "    \"records_applied\": %llu, \"compacts_applied\": %llu, "
-      "\"digests_verified\": %llu, \"duplicates_dropped\": %llu, "
-      "\"gaps_dropped\": %llu, \"corrupt_rejected\": %llu, "
-      "\"fenced_rejected\": %llu, \"apply_failures\": %llu,\n",
-      static_cast<unsigned long long>(rep.follower.records_applied),
-      static_cast<unsigned long long>(rep.follower.compacts_applied),
-      static_cast<unsigned long long>(rep.follower.digests_verified),
-      static_cast<unsigned long long>(rep.follower.duplicates_dropped),
-      static_cast<unsigned long long>(rep.follower.gaps_dropped),
-      static_cast<unsigned long long>(rep.follower.corrupt_rejected),
-      static_cast<unsigned long long>(rep.follower.fenced_rejected),
-      static_cast<unsigned long long>(rep.follower.apply_failures));
-  std::printf(
-      "    \"failover_ms\": %.3f, \"promoted_generation\": %llu, "
-      "\"promoted_sessions\": %d, \"lost_acked_deltas\": %lld, "
-      "\"diverged\": %s, \"replicated_consistent\": %s\n",
-      rep.failover_ms,
-      static_cast<unsigned long long>(rep.promoted_generation),
-      rep.promoted_sessions, static_cast<long long>(rep.lost_acked_deltas),
-      rep.follower.diverged ? "true" : "false",
-      rep.replicated_consistent ? "true" : "false");
-  std::printf("  }\n}\n");
+  json.key("replication")
+      .begin_object()
+      .field("sessions", rep.sessions)
+      .field("updates_per_session", rep.updates)
+      .field("fault_rate", rep.fault_rate)
+      .field("seconds", rep.seconds)
+      .field("client_retries", rep.client_retries)
+      .field("ack_ms_p50", rep.ack_ms_p50)
+      .field("ack_ms_p99", rep.ack_ms_p99)
+      .field("lag_epochs_p50", rep.ship.lag_epochs_p50)
+      .field("lag_epochs_p99", rep.ship.lag_epochs_p99)
+      .field("frames_sent", rep.ship.frames_sent)
+      .field("acks_received", rep.ship.acks_received)
+      .field("send_failures", rep.ship.send_failures)
+      .field("resumes", rep.ship.resumes)
+      .field("snapshot_resyncs", rep.ship.snapshot_resyncs)
+      .field("backpressure_stalls", rep.ship.backpressure_stalls)
+      .field("records_applied", rep.follower.records_applied)
+      .field("compacts_applied", rep.follower.compacts_applied)
+      .field("digests_verified", rep.follower.digests_verified)
+      .field("duplicates_dropped", rep.follower.duplicates_dropped)
+      .field("gaps_dropped", rep.follower.gaps_dropped)
+      .field("corrupt_rejected", rep.follower.corrupt_rejected)
+      .field("fenced_rejected", rep.follower.fenced_rejected)
+      .field("apply_failures", rep.follower.apply_failures)
+      .field("failover_ms", rep.failover_ms)
+      .field("promoted_generation", rep.promoted_generation)
+      .field("promoted_sessions", rep.promoted_sessions)
+      .field("lost_acked_deltas", rep.lost_acked_deltas)
+      .field("diverged", rep.follower.diverged)
+      .field("replicated_consistent", rep.replicated_consistent)
+      .end_object()
+      .end_object();
+  std::cout << '\n';
 }
 
 }  // namespace

@@ -48,6 +48,8 @@ Summary summarize(const std::vector<double>& samples) {
   s.min = rs.min();
   s.max = rs.max();
   s.median = median(samples);
+  s.p25 = quantile(samples, 0.25);
+  s.p75 = quantile(samples, 0.75);
   return s;
 }
 

@@ -38,9 +38,11 @@ struct Summary {
   double min = 0.0;
   double max = 0.0;
   double median = 0.0;
+  double p25 = 0.0;  ///< quantile(samples, 0.25)
+  double p75 = 0.0;  ///< quantile(samples, 0.75)
 };
 
-/// Computes the full summary of `samples` (copies to sort for the median).
+/// Computes the full summary of `samples` (copies to sort for the quantiles).
 Summary summarize(const std::vector<double>& samples);
 
 /// Median of `samples` (copies to sort); 0 for an empty vector.

@@ -1,13 +1,14 @@
 #include "common/telemetry.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <limits>
 #include <ostream>
 #include <utility>
+
+#include "common/json.hpp"
 
 namespace gapart {
 
@@ -70,38 +71,6 @@ struct SlotHolder {
 int thread_slot() {
   thread_local SlotHolder holder;
   return holder.slot;
-}
-
-/// A double as the shortest text that parses back to the same value
-/// (std::to_chars, as the Chaco writer prints weights).
-void write_json_number(std::ostream& os, double v) {
-  char buf[32];  // the longest shortest-round-trip double is 24 chars
-  os.write(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr - buf);
-}
-
-/// Minimal JSON string escaping (metric/span names are identifiers, but a
-/// malformed dump must never be possible).
-void write_json_string(std::ostream& os, const char* s) {
-  os << '"';
-  for (; *s != '\0'; ++s) {
-    const unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          os << buf;
-        } else {
-          os << *s;
-        }
-    }
-  }
-  os << '"';
 }
 
 }  // namespace
@@ -379,40 +348,26 @@ TelemetryRegistry::Snapshot TelemetryRegistry::snapshot() const {
 
 void TelemetryRegistry::write_json(std::ostream& os) const {
   const Snapshot snap = snapshot();
-  os << "{\"counters\":{";
-  for (std::size_t i = 0; i < snap.counters.size(); ++i) {
-    if (i) os << ',';
-    write_json_string(os, snap.counters[i].first.c_str());
-    os << ':' << snap.counters[i].second;
+  JsonWriter json(os);
+  json.begin_object().key("counters").begin_object();
+  for (const auto& [name, value] : snap.counters) json.field(name, value);
+  json.end_object().key("gauges").begin_object();
+  for (const auto& [name, value] : snap.gauges) json.field(name, value);
+  json.end_object().key("histograms").begin_object();
+  for (const HistogramSnapshot& hs : snap.histograms) {
+    const LogHistogram& h = hs.hist;
+    json.key(hs.name).begin_object()
+        .field("count", h.count())
+        .field("sum", h.sum())
+        .field("mean", h.mean())
+        .field("min", h.min())
+        .field("p50", h.quantile(0.50))
+        .field("p90", h.quantile(0.90))
+        .field("p99", h.quantile(0.99))
+        .field("max", h.max())
+        .end_object();
   }
-  os << "},\"gauges\":{";
-  for (std::size_t i = 0; i < snap.gauges.size(); ++i) {
-    if (i) os << ',';
-    write_json_string(os, snap.gauges[i].first.c_str());
-    os << ':';
-    write_json_number(os, snap.gauges[i].second);
-  }
-  os << "},\"histograms\":{";
-  for (std::size_t i = 0; i < snap.histograms.size(); ++i) {
-    if (i) os << ',';
-    const LogHistogram& h = snap.histograms[i].hist;
-    write_json_string(os, snap.histograms[i].name.c_str());
-    os << ":{\"count\":" << h.count();
-    const std::pair<const char*, double> fields[] = {
-        {"sum", h.sum()},
-        {"mean", h.mean()},
-        {"min", h.min()},
-        {"p50", h.quantile(0.50)},
-        {"p90", h.quantile(0.90)},
-        {"p99", h.quantile(0.99)},
-        {"max", h.max()}};
-    for (const auto& [key, value] : fields) {
-      os << ",\"" << key << "\":";
-      write_json_number(os, value);
-    }
-    os << '}';
-  }
-  os << "}}";
+  json.end_object().end_object();
 }
 
 void TelemetryRegistry::reset_for_tests() {

@@ -87,11 +87,10 @@ HillClimbResult climb_frontier(PartitionState& state,
   std::vector<VertexId> current =
       seeded ? state.filter_boundary(seeds) : state.boundary_vertices();
   for (const VertexId v : current) queued.set(v);
-  // gain_ordered: two next-buckets — "hot" holds vertices whose
-  // neighbourhood a move just disturbed (where new positive gains appear),
-  // "cold" holds the movers themselves (their best move was just taken) —
-  // and a pass processes hot before cold.  Otherwise both lambdas feed the
-  // single hot list.
+  // Two next-buckets — "hot" holds vertices whose neighbourhood a move just
+  // disturbed (where new positive gains appear), "cold" holds the movers
+  // themselves (their best move was just taken) — and a pass processes hot
+  // before cold.
   std::vector<VertexId> next_hot;
   std::vector<VertexId> next_cold;
 
@@ -100,12 +99,6 @@ HillClimbResult climb_frontier(PartitionState& state,
       queued.set(u);
       bucket.push_back(u);
     }
-  };
-  const auto enqueue_disturbed = [&](VertexId u) {
-    enqueue_into(u, next_hot);
-  };
-  const auto enqueue_mover = [&](VertexId u) {
-    enqueue_into(u, options.gain_ordered ? next_cold : next_hot);
   };
 
   bool full_pass = !seeded;  // current covers the entire boundary
@@ -124,8 +117,8 @@ HillClimbResult climb_frontier(PartitionState& state,
         state.move(v, best.to);
         ++moves_this_pass;
         result.fitness_gain += best.gain;
-        enqueue_mover(v);
-        for (const VertexId u : g.neighbors(v)) enqueue_disturbed(u);
+        enqueue_into(v, next_cold);
+        for (const VertexId u : g.neighbors(v)) enqueue_into(u, next_hot);
       }
       result.moves += moves_this_pass;
     }

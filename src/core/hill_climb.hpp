@@ -12,7 +12,11 @@
 //                vertices whose neighbourhood changed; skips the O(V) scan
 //                per pass entirely and reaches the same kind of local
 //                optimum (no boundary vertex has an improving move), though
-//                possibly via a different move order.
+//                possibly via a different move order.  Each pass is gain
+//                ordered: the neighbours a move just disturbed (the only
+//                place new improving moves appear) go before the movers
+//                themselves (whose best move was just taken), both
+//                ascending, so runs stay deterministic.
 //
 // Both modes are serial: scoring the frontier in parallel batch rounds gained
 // under 1.2x at 4 threads and settled at worse fixed points
@@ -63,14 +67,6 @@ struct HillClimbOptions {
   /// proportional to the seeded cascade, but the result is only settled
   /// around the seeds, not a verified local optimum.
   bool verify_fixed_point = true;
-  /// kFrontier only: first-cut gain-ordered worklist.  Each pass processes
-  /// the bucket of likely-positive-gain vertices (neighbours a move just
-  /// disturbed — the only place new improving moves appear) before the
-  /// likely-zero-gain bucket (vertices whose best move was just taken).
-  /// Both buckets stay ascending, so runs are deterministic, and worklist
-  /// membership and the verification rounds are unchanged — same fixed-point
-  /// class, different move order.  Ignored by kSweep.
-  bool gain_ordered = false;
   /// Cooperative cancellation, checked at pass/round boundaries: when it
   /// reads true the climb stops early and returns the (monotone) progress
   /// made so far.  Non-owning; null means never cancelled.  Used by the

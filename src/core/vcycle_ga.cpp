@@ -16,6 +16,11 @@ namespace gapart {
 
 namespace {
 
+/// Swap perturbation applied to the non-verbatim quotient seeds.
+constexpr double kCombineSeedSwapFraction = 0.1;
+/// Full-boundary rounds of the combine's fallback quotient climbs.
+constexpr int kCombineFallbackClimbPasses = 2;
+
 /// Labels the connected components of the agreement subgraph: an edge (u, v)
 /// belongs to it iff both parents put u and v in the same part.  Along any
 /// agreement path both parents are therefore constant, so each component has
@@ -82,7 +87,7 @@ void combine_partitions(const Graph& g, PartId num_parts,
   HillClimbOptions hc;
   hc.fitness = fitness;
   hc.mode = HillClimbMode::kFrontier;
-  hc.max_passes = options.fallback_hill_climb_passes;
+  hc.max_passes = kCombineFallbackClimbPasses;
 
   if (nc > options.max_quotient_vertices) {
     // The parents disagree too broadly for a GA-sized quotient: climb both
@@ -107,7 +112,7 @@ void combine_partitions(const Graph& g, PartId num_parts,
   cfg.stall_generations = options.stall_generations;
   cfg.hill_climb_offspring = true;
   auto initial = make_mixed_population({qa, qb}, cfg.population_size,
-                                       options.seed_swap_fraction, rng);
+                                       kCombineSeedSwapFraction, rng);
   // Serial on purpose: combine runs inside a GA's generate phase, which may
   // itself sit next to a pooled evaluate phase — no nested fan-out.
   const GaResult res =
@@ -218,7 +223,6 @@ Assignment ascend(const Graph& g, const CoarsenHierarchy& hierarchy,
     HillClimbOptions hc;
     hc.mode = HillClimbMode::kFrontier;
     hc.max_passes = options.refine_verify_passes;
-    hc.gain_ordered = true;
     hc.verify_fixed_point = true;
     hc.cancel = options.cancel;
     const HillClimbResult climb =

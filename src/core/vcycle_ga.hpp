@@ -57,13 +57,10 @@ struct CombineOptions {
   int population = 24;
   int max_generations = 40;
   int stall_generations = 8;
-  /// Swap perturbation applied to the non-verbatim quotient seeds.
-  double seed_swap_fraction = 0.1;
   /// When the parents disagree so broadly that the quotient exceeds this,
   /// skip the GA: both quotient projections are frontier-climbed instead
   /// (still monotone, still cheap — the climb is O(quotient boundary)).
   VertexId max_quotient_vertices = 4096;
-  int fallback_hill_climb_passes = 2;
 };
 
 /// The KaFFPaE-style combine: contract the clusters on which `a` and `b`

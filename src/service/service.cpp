@@ -55,29 +55,22 @@ std::string PartitionService::session_dir(SessionId id) const {
 SessionId PartitionService::open_session(std::shared_ptr<const Graph> graph,
                                          Assignment initial,
                                          SessionConfig config) {
-  auto session = std::make_shared<PartitionSession>(
-      std::move(graph), std::move(initial), std::move(config));
-  const SessionId id = insert(session);
-  if (config_.durability.enabled()) {
-    // Make the opening state durable before the id is handed back.  The
-    // snapshot carries exactly the (graph, assignment) just installed.
-    const auto snap = session->snapshot();
-    session->attach_wal(SessionWal::create(
-        session_dir(id), config_.durability, session->config().num_parts,
-        session->config().fitness, *snap->graph, snap->assignment,
-        /*snapshot_epoch=*/0,
-        assignment_content_hash(*snap->graph, snap->assignment,
-                                session->config().num_parts)));
-  }
-  return id;
+  return insert_durable(std::make_shared<PartitionSession>(
+      std::move(graph), std::move(initial), std::move(config)));
 }
 
 SessionId PartitionService::open_session_from_files(const std::string& prefix,
                                                     SessionConfig config) {
-  auto session = std::shared_ptr<PartitionSession>(
-      PartitionSession::restore_files(prefix, std::move(config)));
+  return insert_durable(std::shared_ptr<PartitionSession>(
+      PartitionSession::restore_files(prefix, std::move(config))));
+}
+
+SessionId PartitionService::insert_durable(
+    std::shared_ptr<PartitionSession> session) {
   const SessionId id = insert(session);
   if (config_.durability.enabled()) {
+    // Make the opening state durable before the id is handed back.  The
+    // snapshot carries exactly the (graph, assignment) just installed.
     const auto snap = session->snapshot();
     session->attach_wal(SessionWal::create(
         session_dir(id), config_.durability, session->config().num_parts,

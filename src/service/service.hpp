@@ -217,6 +217,9 @@ class PartitionService {
  private:
   std::shared_ptr<PartitionSession> find(SessionId id) const;
   SessionId insert(std::shared_ptr<PartitionSession> session);
+  /// insert(), then — when durability is on — the session's WAL, created
+  /// with its opening state as the epoch-0 snapshot.
+  SessionId insert_durable(std::shared_ptr<PartitionSession> session);
   void insert_with_id(SessionId id, std::shared_ptr<PartitionSession> session);
   void maybe_schedule_refinement(SessionId id,
                                  const std::shared_ptr<PartitionSession>& s);

@@ -121,7 +121,6 @@ RepairReport PartitionSession::apply_update(std::shared_ptr<const Graph> grown,
   };
   HillClimbOptions opt;
   opt.fitness = config_.fitness;
-  opt.gain_ordered = true;
   opt.verify_fixed_point = false;
   // Admission of the first round is decided once, before the cascade, so
   // the logged round count alone tells replay which path ran.  A kTotalComm
@@ -516,7 +515,6 @@ RefineOutcome run_refinement(const PartitionSession::RefineJob& job,
   PartitionState state = eval.make_state(job.assignment);
   HillClimbOptions opt;
   opt.mode = HillClimbMode::kFrontier;
-  opt.gain_ordered = true;
   opt.max_passes = config.refine_hill_climb_passes;
   opt.cancel = job.cancel.get();
   {

@@ -9,6 +9,9 @@
 
 namespace gapart {
 
+/// KL passes after each prolongation.
+constexpr int kKlPassesPerLevel = 4;
+
 Assignment multilevel_partition(const Graph& g, PartId num_parts, Rng& rng,
                                 const MultilevelOptions& options) {
   GAPART_REQUIRE(num_parts >= 1, "need at least one part");
@@ -23,7 +26,7 @@ Assignment multilevel_partition(const Graph& g, PartId num_parts, Rng& rng,
 
   KlOptions kl;
   kl.fitness = options.fitness;
-  kl.max_passes = options.kl_passes_per_level;
+  kl.max_passes = kKlPassesPerLevel;
 
   // Refine the coarsest solution, then project up through the hierarchy,
   // refining after every prolongation (the shared uncoarsening driver).

@@ -20,7 +20,6 @@ struct MultilevelOptions {
   /// Stop coarsening at roughly this many vertices (scaled by part count).
   VertexId coarse_vertices_per_part = 25;
   RsbOptions rsb;
-  int kl_passes_per_level = 4;
   FitnessParams fitness;  ///< objective for the KL refinement
 };
 

@@ -1,14 +1,14 @@
 // Serial frontier climb (kFrontier) fuzzed over damaged block partitions.
 //
-// The service's repair and every refinement tier run this one climb with
-// gain ordering on, so each family below checks a property of that climb on
+// The service's repair and every refinement tier run this one gain-ordered
+// climb, so each family below checks a property of that climb on
 // the same 12-seed parameter grid as SeededRepairFuzz in test_hill_climb.cpp:
 //   * it ends at a verified local optimum, monotonically, with its reported
 //     gain equal to the exact fitness delta;
 //   * the incrementally maintained state equals a fresh construction from
 //     the final assignment;
-//   * gain ordering, seeding and the sweep driver reach the same fixed-point
-//     class;
+//   * the gain-ordered climb, seeding and the plain sweep driver reach the
+//     same fixed-point class;
 //   * the EvalContext overload accounts one delta evaluation per move and
 //     decides exactly as the plain overload.
 #include <gtest/gtest.h>
@@ -51,7 +51,6 @@ FuzzCase fuzz_case(int param) {
 HillClimbOptions service_options(const FuzzCase& c) {
   HillClimbOptions opt;
   opt.mode = HillClimbMode::kFrontier;
-  opt.gain_ordered = true;
   opt.fitness = c.fitness;
   opt.max_passes = 100;
   return opt;
@@ -114,9 +113,12 @@ TEST_P(FrontierClimbFuzz, GainOrderedAndPlainReachSameFixedPointClass) {
   const Graph g = make_grid(c.n, c.n);
   const DamagedGrid d = damaged_block_grid(c.n, c.k, c.damage, c.seed);
 
+  // The plain climb is the paper's unordered ascending sweep: from the same
+  // start it moves vertices in a different order, yet both must stop where
+  // no boundary vertex has an improving move.
   const HillClimbOptions ordered = service_options(c);
   HillClimbOptions plain = ordered;
-  plain.gain_ordered = false;
+  plain.mode = HillClimbMode::kSweep;
 
   PartitionState a(g, d.start, c.k);
   PartitionState b(g, d.start, c.k);

@@ -494,7 +494,7 @@ TEST(HillClimb, ChromosomeOverloadStrongGuarantee) {
 
 // ---------------------------------------------------------------------------
 // Gain-ordered frontier: hot (disturbed-neighbour) bucket before cold
-// (just-moved) bucket.  Different move order, same fixed-point class.
+// (just-moved) bucket.  Same fixed-point class as sweep.
 
 TEST(HillClimbGainOrdered, ReachesSameFixedPointClassAsPlainFrontier) {
   Rng rng(0x90d);
@@ -508,7 +508,6 @@ TEST(HillClimbGainOrdered, ReachesSameFixedPointClassAsPlainFrontier) {
       opt.fitness = {obj, 1.0};
       opt.mode = HillClimbMode::kFrontier;
       opt.max_passes = 100;
-      opt.gain_ordered = true;
 
       PartitionState state(mesh.graph, start, 5);
       const double before = state.fitness(opt.fitness);
@@ -531,7 +530,6 @@ TEST(HillClimbGainOrdered, Deterministic) {
   const Assignment start = random_assignment(144, 5, 777);
   HillClimbOptions opt;
   opt.mode = HillClimbMode::kFrontier;
-  opt.gain_ordered = true;
   opt.max_passes = 50;
 
   Assignment a = start;
@@ -544,32 +542,10 @@ TEST(HillClimbGainOrdered, Deterministic) {
   EXPECT_EQ(ra.fitness_gain, rb.fitness_gain);
 }
 
-TEST(HillClimbGainOrdered, OffIsBitIdenticalToPlainFrontier) {
-  // gain_ordered=false must leave frontier mode exactly as before — both
-  // enqueue paths feed the same single bucket.
-  const Graph g = make_grid(10, 10);
-  const Assignment start = random_assignment(100, 4, 4141);
-  HillClimbOptions plain;
-  plain.mode = HillClimbMode::kFrontier;
-  plain.max_passes = 50;
-  HillClimbOptions off = plain;
-  off.gain_ordered = false;
-
-  Assignment a = start;
-  Assignment b = start;
-  const auto ra = hill_climb(g, a, 4, plain);
-  const auto rb = hill_climb(g, b, 4, off);
-  EXPECT_EQ(a, b);
-  EXPECT_EQ(ra.moves, rb.moves);
-  EXPECT_EQ(ra.examined, rb.examined);
-  EXPECT_EQ(ra.passes, rb.passes);
-}
-
 TEST(HillClimbGainOrdered, ComposesWithSeededRepair) {
   const bench::DamagedGrid d = bench::damaged_block_grid(24, 4, 40, 0x5eed);
   const Graph g = make_grid(24, 24);
   HillClimbOptions opt;
-  opt.gain_ordered = true;
   opt.max_passes = 50;
   PartitionState state(g, d.start, 4);
   const double before = state.fitness(opt.fitness);

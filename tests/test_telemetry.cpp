@@ -20,9 +20,12 @@
 
 #include "common/rng.hpp"
 #include "common/stats.hpp"
+#include "test_util.hpp"
 
 namespace gapart {
 namespace {
+
+using testing::JsonCursor;
 
 // ----------------------------------------------------------- LogHistogram --
 
@@ -284,120 +287,6 @@ TEST(TelemetryRegistry, JsonDumpIsWellFormed) {
 }
 
 // ----------------------------------------------------------------- Tracer --
-
-/// Tiny recursive-descent JSON validator — enough to assert the emitted
-/// Chrome trace is schema-valid without a JSON library dependency.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : s_(text) {}
-
-  bool valid_value() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == s_.size();
-  }
-
- private:
-  bool value() {
-    if (pos_ >= s_.size()) return false;
-    const char c = s_[pos_];
-    if (c == '{') return object();
-    if (c == '[') return array();
-    if (c == '"') return string();
-    if (c == 't') return literal("true");
-    if (c == 'f') return literal("false");
-    if (c == 'n') return literal("null");
-    return number();
-  }
-  bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-  bool string() {
-    if (peek() != '"') return false;
-    ++pos_;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      if (s_[pos_] == '\\') ++pos_;
-      ++pos_;
-    }
-    if (pos_ >= s_.size()) return false;
-    ++pos_;  // closing quote
-    return true;
-  }
-  bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) != 0 ||
-            s_[pos_] == '.' || s_[pos_] == 'e' || s_[pos_] == 'E' ||
-            s_[pos_] == '+' || s_[pos_] == '-')) {
-      ++pos_;
-    }
-    return pos_ > start;
-  }
-  bool literal(const char* lit) {
-    const std::size_t len = std::strlen(lit);
-    if (s_.compare(pos_, len, lit) != 0) return false;
-    pos_ += len;
-    return true;
-  }
-  char peek() const { return pos_ < s_.size() ? s_[pos_] : '\0'; }
-  void skip_ws() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_])) != 0) {
-      ++pos_;
-    }
-  }
-
-  const std::string& s_;
-  std::size_t pos_ = 0;
-};
 
 TEST(TelemetryRegistry, JsonDumpRoundTripsDoublesExactly) {
   // Doubles print as shortest round-trip text: default ostream precision
